@@ -1,4 +1,5 @@
-"""Versioned binary checkpoint: named float64 tensors plus an embedded JSON config.
+"""Versioned binary checkpoint: named float64 tensors plus an embedded JSON config,
+and the dataclass <-> dict codec that every config and spec is serialised with.
 
 Layout (little-endian throughout):
   magic "HMICCKPT" | u32 version | 32-byte config digest (sha256)
@@ -9,9 +10,11 @@ Layout (little-endian throughout):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,41 @@ def config_digest(config: dict) -> str:
     """sha256 over the canonical JSON encoding of a config dict."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+to_dict = dataclasses.asdict
+
+
+def from_dict(cls, data):
+    """Rebuild dataclass ``cls`` from ``to_dict`` output or its JSON round trip.
+
+    Nested dataclasses, ``tuple[...]`` and ``dict[...]`` fields are rebuilt from
+    the type hints. Missing keys take the field defaults; unknown keys raise
+    ``TypeError`` at every level.
+    """
+    if dataclasses.is_dataclass(cls):
+        _expect(data, dict, f"an object for {cls.__name__}")
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise TypeError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+        return cls(**{name: from_dict(hints[name], value) for name, value in data.items()})
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin is tuple:
+        _expect(data, (list, tuple), f"a list for {cls}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(from_dict(args[0], item) for item in data)
+        return tuple(from_dict(arg, item) for arg, item in zip(args, data, strict=True))
+    if origin is dict:
+        _expect(data, dict, f"an object for {cls}")
+        key_type, value_type = args
+        return {from_dict(key_type, k): from_dict(value_type, v) for k, v in data.items()}
+    return data
+
+
+def _expect(value, kind, what: str) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {what}, got {type(value).__name__}")
 
 
 def save_checkpoint(

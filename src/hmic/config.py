@@ -12,13 +12,14 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .checkpoint import config_digest
+from .checkpoint import config_digest, from_dict, to_dict
 from .dsp import DspConfig
 from .model import ABLATIONS, ModelConfig
 from .scoring import COVARIANCE_MODES
 from .training import TrainConfig
 
 SCORING_MODES = ("agc", "dc")
+_SCORE_TIME_FIELDS = ("scoring_mode", "pauc_p", "jobs")
 
 
 class ConfigError(ValueError):
@@ -50,44 +51,9 @@ class RunConfig:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
-    def to_dict(self) -> dict:
-        return {
-            "dsp": self.dsp.to_dict(),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "ablation": self.ablation,
-            "covariance_mode": self.covariance_mode,
-            "shrinkage": self.shrinkage,
-            "shrinkage_rel": self.shrinkage_rel,
-            "scoring_mode": self.scoring_mode,
-            "pauc_p": self.pauc_p,
-            "jobs": self.jobs,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        known = {
-            "dsp": DspConfig.from_dict(data.get("dsp", {})) if data.get("dsp") else DspConfig(),
-            "model": ModelConfig.from_dict(data["model"]) if data.get("model") else ModelConfig(),
-            "train": TrainConfig.from_dict(data["train"]) if data.get("train") else TrainConfig(),
-        }
-        for key in ("ablation", "covariance_mode", "shrinkage", "shrinkage_rel",
-                    "scoring_mode", "pauc_p", "jobs"):
-            if key in data:
-                known[key] = data[key]
-        return RunConfig(**known)
-
     def semantic_dict(self) -> dict:
         """The sub-config that determines what a trained checkpoint contains."""
-        return {
-            "dsp": self.dsp.to_dict(),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "ablation": self.ablation,
-            "covariance_mode": self.covariance_mode,
-            "shrinkage": self.shrinkage,
-            "shrinkage_rel": self.shrinkage_rel,
-        }
+        return {k: v for k, v in to_dict(self).items() if k not in _SCORE_TIME_FIELDS}
 
     def semantic_digest(self) -> str:
         return config_digest(self.semantic_dict())
@@ -120,10 +86,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return RunConfig.from_dict(data)
+        return from_dict(RunConfig, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
 def save_run_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(to_dict(config), indent=2, sort_keys=True), encoding="utf-8")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import from_dict, to_dict
 from .dsp import write_wav_mono
 from .metadata import ClipMeta, ManifestEntry, write_manifest
 
@@ -33,10 +34,10 @@ class AttributeSpec:
     name: str
     source_values: tuple[str, ...]
     target_values: tuple[str, ...]  # defaults to source_values when empty
-    tones_hz: dict  # value -> tuple of frequencies
+    tones_hz: dict[str, tuple[float, ...]]  # value -> frequencies
     # value -> multiplier on the spec-level tone jitter (values can be steadier
     # or wobblier than the section average)
-    jitter_scale_by_value: dict = field(default_factory=dict)
+    jitter_scale_by_value: dict[str, float] = field(default_factory=dict)
 
     def values_for(self, domain: str) -> tuple[str, ...]:
         if domain == "target" and self.target_values:
@@ -436,87 +437,11 @@ PRESETS = {"default": default_spec, "shifted": shifted_spec}
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:
-    return {
-        "sample_rate_hz": spec.sample_rate_hz,
-        "clip_seconds": spec.clip_seconds,
-        "tone_amp": spec.tone_amp,
-        "am_depth": spec.am_depth,
-        "tone_jitter_cents": spec.tone_jitter_cents,
-        "noise_amp_source": spec.noise_amp_source,
-        "noise_amp_target": spec.noise_amp_target,
-        "seed": spec.seed,
-        "anomaly": {
-            "detune_cents": spec.anomaly.detune_cents,
-            "clicks_per_second": spec.anomaly.clicks_per_second,
-            "click_amp": spec.anomaly.click_amp,
-            "detune_attr": spec.anomaly.detune_attr,
-            "ghost_attr": spec.anomaly.ghost_attr,
-            "ghost_amp": spec.anomaly.ghost_amp,
-        },
-        "machines": [
-            {
-                "name": machine.name,
-                "sections": [
-                    {
-                        "section_id": section.section_id,
-                        "am_rate_hz": section.am_rate_hz,
-                        "counts": vars(section.counts),
-                        "attributes": [
-                            {
-                                "name": attr.name,
-                                "source_values": list(attr.source_values),
-                                "target_values": list(attr.target_values),
-                                "tones_hz": {v: list(f) for v, f in attr.tones_hz.items()},
-                                "jitter_scale_by_value": dict(attr.jitter_scale_by_value),
-                            }
-                            for attr in section.attributes
-                        ],
-                    }
-                    for section in machine.sections
-                ],
-            }
-            for machine in spec.machines
-        ],
-    }
+    return to_dict(spec)
 
 
 def spec_from_dict(data: dict) -> SynthSpec:
-    machines = tuple(
-        MachineSpec(
-            name=m["name"],
-            sections=tuple(
-                SectionSpec(
-                    section_id=s["section_id"],
-                    am_rate_hz=s["am_rate_hz"],
-                    counts=ClipCounts(**s["counts"]),
-                    attributes=tuple(
-                        AttributeSpec(
-                            name=a["name"],
-                            source_values=tuple(a["source_values"]),
-                            target_values=tuple(a["target_values"]),
-                            tones_hz={v: tuple(f) for v, f in a["tones_hz"].items()},
-                            jitter_scale_by_value=dict(a.get("jitter_scale_by_value", {})),
-                        )
-                        for a in s["attributes"]
-                    ),
-                )
-                for s in m["sections"]
-            ),
-        )
-        for m in data["machines"]
-    )
-    return SynthSpec(
-        machines=machines,
-        sample_rate_hz=data["sample_rate_hz"],
-        clip_seconds=data["clip_seconds"],
-        tone_amp=data["tone_amp"],
-        am_depth=data["am_depth"],
-        tone_jitter_cents=data.get("tone_jitter_cents", 0.0),
-        noise_amp_source=data["noise_amp_source"],
-        noise_amp_target=data["noise_amp_target"],
-        anomaly=AnomalySpec(**data["anomaly"]),
-        seed=data["seed"],
-    )
+    return from_dict(SynthSpec, data)
 
 
 def spec_to_json(spec: SynthSpec) -> str:
@@ -524,4 +449,7 @@ def spec_to_json(spec: SynthSpec) -> str:
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise SynthSpecError(f"bad synth spec {path}: {exc}") from exc

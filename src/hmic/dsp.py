@@ -34,22 +34,6 @@ class DspConfig:
     floor_epsilon: float = 1e-10
     standardize: bool = True  # per-clip zero-mean/unit-variance before the model
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate_hz": self.sample_rate_hz,
-            "frame_size": self.frame_size,
-            "hop": self.hop,
-            "n_mels": self.n_mels,
-            "f_min_hz": self.f_min_hz,
-            "f_max_hz": self.f_max_hz,
-            "floor_epsilon": self.floor_epsilon,
-            "standardize": self.standardize,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "DspConfig":
-        return DspConfig(**data)
-
 
 @dataclass(frozen=True)
 class Waveform:
@@ -66,22 +50,10 @@ class Waveform:
             raise DspError("waveform contains non-finite samples")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class LogMelSpectrogram:
     values: np.ndarray  # (n_mels, n_frames)
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 def hz_to_mel(f_hz):
@@ -121,10 +93,6 @@ def stft_power(wave: Waveform, frame_size: int = 1024, hop: int | None = None) -
 
 
 @lru_cache(maxsize=8)
-def _cached_filterbank(n_fft_bins, n_mels, sample_rate_hz, f_min_hz, f_max_hz):
-    return _build_filterbank(n_fft_bins, n_mels, sample_rate_hz, f_min_hz, f_max_hz)
-
-
 def _build_filterbank(n_fft_bins, n_mels, sample_rate_hz, f_min_hz, f_max_hz):
     mel_lo = hz_to_mel(f_min_hz)
     mel_hi = hz_to_mel(f_max_hz)
@@ -166,7 +134,7 @@ def mel_filterbank(
             f"need 0 <= f_min < f_max <= nyquist, got "
             f"f_min={f_min_hz}, f_max={f_max_hz}, sr={sample_rate_hz}"
         )
-    return _cached_filterbank(n_fft_bins, n_mels, sample_rate_hz, float(f_min_hz), float(f_max_hz))
+    return _build_filterbank(n_fft_bins, n_mels, sample_rate_hz, float(f_min_hz), float(f_max_hz))
 
 
 def mel_centres_hz(n_mels: int, f_min_hz: float, f_max_hz: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """AUC / partial-AUC metrics and the per-machine/section/domain report.
 
-AUC is the Mann-Whitney statistic P(anomalous > normal) + 0.5 P(equal),
-computed by exact pair counting. Partial AUC integrates the piecewise-linear
-ROC over false-positive rate [0, p] and normalizes by p; at p = 1 the two
-paths agree bit-for-bit because both reduce to the same integer count divided
-by 2 * n_anomalous * n_normal. Totals are harmonic means over report cells.
+Both metrics come from one ROC staircase held as integer (false-positive,
+true-positive) counts. Partial AUC integrates it over false-positive rate
+[0, p] and normalizes by p; AUC is its value at p = 1, where twice the area is
+the exact integer 2 * wins + ties over all (anomalous, normal) pairs, i.e. the
+Mann-Whitney statistic P(anomalous > normal) + 0.5 P(equal). Totals are
+harmonic means over report cells.
 """
 
 from __future__ import annotations
@@ -47,15 +48,38 @@ def _split_scores(clips) -> tuple[np.ndarray, np.ndarray]:
     return normal, anomalous
 
 
-def auc_from_scores(normal: np.ndarray, anomalous: np.ndarray) -> float:
+def _roc_area(normal, anomalous, p: float) -> float:
+    """Area under the ROC for false-positive rate [0, p], normalized by p.
+
+    Thresholds sweep the distinct score values from high to low; clips tied at
+    a threshold enter together, which yields diagonal ROC segments.
+    """
     normal = np.asarray(normal, dtype=np.float64)
     anomalous = np.asarray(anomalous, dtype=np.float64)
     if normal.size == 0 or anomalous.size == 0:
         raise UndefinedMetricError("both classes must be non-empty")
-    diff = anomalous[:, None] - normal[None, :]
-    wins = int(np.count_nonzero(diff > 0))
-    ties = int(np.count_nonzero(diff == 0))
-    return (2 * wins + ties) / (2 * anomalous.size * normal.size)
+    n_normal, n_anomalous = normal.size, anomalous.size
+    values, inverse = np.unique(np.concatenate([normal, anomalous]), return_inverse=True)
+    # Staircase vertices: cumulative counts per class, highest score first, from (0, 0).
+    fp, tp = (
+        np.concatenate(([0], np.cumsum(np.bincount(part, minlength=values.size)[::-1])))
+        for part in (inverse[:n_normal], inverse[n_normal:])
+    )
+    fp_limit = p * n_normal
+    # Twice the area in integer fp*tp units over the segments that end by the limit...
+    inside = int(np.searchsorted(fp, fp_limit, side="right"))
+    area2: float | int = int(np.sum(np.diff(fp[:inside]) * (tp[1:inside] + tp[: inside - 1])))
+    # ...plus the part of the next segment that starts before it.
+    if inside < fp.size and fp[inside - 1] < fp_limit:
+        fp0, fp1 = int(fp[inside - 1]), int(fp[inside])
+        tp0, tp1 = int(tp[inside - 1]), int(tp[inside])
+        tp_cut = tp0 + (fp_limit - fp0) / (fp1 - fp0) * (tp1 - tp0)
+        area2 += (fp_limit - fp0) * (tp0 + tp_cut)
+    return area2 / (2.0 * p * n_normal * n_anomalous)
+
+
+def auc_from_scores(normal: np.ndarray, anomalous: np.ndarray) -> float:
+    return _roc_area(normal, anomalous, 1.0)
 
 
 def auc(clips) -> float:
@@ -64,45 +88,10 @@ def auc(clips) -> float:
     return auc_from_scores(normal, anomalous)
 
 
-def _roc_vertices(normal: np.ndarray, anomalous: np.ndarray):
-    """ROC staircase vertices as integer (false-positive, true-positive) counts.
-
-    Thresholds sweep the distinct score values from high to low; clips tied at
-    a threshold enter together, which yields diagonal ROC segments.
-    """
-    values = np.unique(np.concatenate([normal, anomalous]))[::-1]
-    vertices = [(0, 0)]
-    fp = tp = 0
-    for value in values:
-        fp += int(np.count_nonzero(normal == value))
-        tp += int(np.count_nonzero(anomalous == value))
-        vertices.append((fp, tp))
-    return vertices
-
-
 def pauc_from_scores(normal: np.ndarray, anomalous: np.ndarray, p: float = 0.1) -> float:
-    normal = np.asarray(normal, dtype=np.float64)
-    anomalous = np.asarray(anomalous, dtype=np.float64)
     if not 0.0 < p <= 1.0:
         raise UndefinedMetricError(f"p must be in (0, 1], got {p}")
-    if normal.size == 0 or anomalous.size == 0:
-        raise UndefinedMetricError("both classes must be non-empty")
-    n_normal, n_anomalous = normal.size, anomalous.size
-    fp_limit = p * n_normal
-    vertices = _roc_vertices(normal, anomalous)
-    # Twice the area under the curve for FPR in [0, p], in integer fp*tp units.
-    area2: float | int = 0
-    for (fp0, tp0), (fp1, tp1) in zip(vertices, vertices[1:]):
-        if fp0 >= fp_limit:
-            break
-        if fp1 <= fp_limit:
-            area2 += (fp1 - fp0) * (tp0 + tp1)
-        else:
-            frac = (fp_limit - fp0) / (fp1 - fp0)
-            tp_cut = tp0 + frac * (tp1 - tp0)
-            area2 += (fp_limit - fp0) * (tp0 + tp_cut)
-            break
-    return area2 / (2.0 * p * n_normal * n_anomalous)
+    return _roc_area(normal, anomalous, p)
 
 
 def pauc(clips, p: float = 0.1) -> float:

@@ -126,12 +126,6 @@ class LabelSpace:
     def n_groups(self) -> int:
         return len(self.ag_labels)
 
-    def section_of_group(self, group_label: int) -> int:
-        for key, label in self.ag_labels.items():
-            if label == group_label:
-                return key.section_id
-        raise UnknownLabelError(f"no attribute group with label {group_label}")
-
     def to_dict(self) -> dict:
         return {
             "machine_type": self.machine_type,

@@ -27,7 +27,7 @@ class ModelConfig:
     channels: tuple[int, int, int] = (8, 16, 64)
     head_channels: int = 64
     id_loss_weight: float = 0.5  # weight on the section-ID loss, in [0, 1]
-    id_loss_weight_by_machine: dict = field(default_factory=dict)
+    id_loss_weight_by_machine: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.id_loss_weight <= 1.0:
@@ -43,23 +43,6 @@ class ModelConfig:
 
     def weight_for(self, machine_type: str) -> float:
         return float(self.id_loss_weight_by_machine.get(machine_type, self.id_loss_weight))
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": list(self.channels),
-            "head_channels": self.head_channels,
-            "id_loss_weight": self.id_loss_weight,
-            "id_loss_weight_by_machine": dict(self.id_loss_weight_by_machine),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ModelConfig":
-        return ModelConfig(
-            channels=tuple(data["channels"]),
-            head_channels=data["head_channels"],
-            id_loss_weight=data["id_loss_weight"],
-            id_loss_weight_by_machine=dict(data.get("id_loss_weight_by_machine", {})),
-        )
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, scoring
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import from_dict, load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import ManifestEntry, assign_labels, build_label_space, read_manifest
@@ -163,7 +163,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
         label_spaces[machine] = space.to_dict()
 
     embedded = {
-        "run": config.to_dict(),
+        "run": to_dict(config),
         "semantic": config.semantic_dict(),
         "label_spaces": label_spaces,
         "machines": machines,
@@ -181,7 +181,7 @@ def _params_from_checkpoint(tensors, machine: str, config_block: dict) -> ModelP
     space = config_block["label_spaces"][machine]
     return ModelParams(
         tensors=own,
-        config=ModelConfig.from_dict(config_block["run"]["model"]),
+        config=from_dict(ModelConfig, config_block["run"]["model"]),
         n_sections=len(space["sections"]),
         n_groups=len(space["groups"]),
     )

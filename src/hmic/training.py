@@ -28,22 +28,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 7
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "lr_min": self.lr_min,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "TrainConfig":
-        return TrainConfig(**data)
-
 
 @dataclass(frozen=True)
 class EpochStats:

@@ -1,13 +1,64 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmic.checkpoint import (
     CheckpointError,
     config_digest,
+    from_dict,
     load_checkpoint,
     save_checkpoint,
+    to_dict,
 )
-from hmic.config import ConfigError, RunConfig, load_run_config, save_run_config
+from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, save_run_config
+from hmic.dsp import DspConfig
+from hmic.model import ABLATIONS, ModelConfig
+from hmic.scoring import COVARIANCE_MODES
+from hmic.training import TrainConfig
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+run_configs = st.builds(
+    RunConfig,
+    dsp=st.builds(
+        DspConfig,
+        sample_rate_hz=st.integers(1, 96000),
+        frame_size=st.integers(2, 4096),
+        hop=st.integers(1, 4096),
+        n_mels=st.integers(1, 256),
+        f_min_hz=finite,
+        f_max_hz=finite,
+        floor_epsilon=finite,
+        standardize=st.booleans(),
+    ),
+    model=st.builds(
+        ModelConfig,
+        channels=st.tuples(*[st.integers(1, 128)] * 3),
+        head_channels=st.integers(1, 128),
+        id_loss_weight=st.floats(0.0, 1.0),
+        id_loss_weight_by_machine=st.dictionaries(st.text(max_size=6), st.floats(0.0, 1.0)),
+    ),
+    train=st.builds(
+        TrainConfig,
+        epochs=st.integers(1, 100),
+        batch_size=st.integers(1, 256),
+        learning_rate=finite,
+        lr_min=finite,
+        beta1=finite,
+        beta2=finite,
+        adam_eps=finite,
+        seed=st.integers(0, 2**63),
+    ),
+    ablation=st.sampled_from(ABLATIONS),
+    covariance_mode=st.sampled_from(COVARIANCE_MODES),
+    shrinkage=st.none() | finite,
+    shrinkage_rel=finite,
+    scoring_mode=st.sampled_from(SCORING_MODES),
+    pauc_p=st.floats(0.0, 1.0, exclude_min=True),
+    jobs=st.integers(1, 64),
+)
 
 
 class TestCheckpointFile:
@@ -70,6 +121,25 @@ class TestRunConfig:
             RunConfig(pauc_p=0.0)
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
+
+    def test_default_semantic_digest_is_pinned(self):
+        assert RunConfig().semantic_digest() == (
+            "b24c89b13b189fb073b58df4c99342329ca26f304b07437a881d0187601bec58"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=run_configs)
+    def test_codec_json_roundtrip(self, config):
+        assert from_dict(RunConfig, json.loads(json.dumps(to_dict(config)))) == config
+
+    def test_missing_keys_take_defaults(self):
+        assert from_dict(RunConfig, {"train": {"seed": 3}}) == RunConfig().with_overrides(seed=3)
+
+    def test_misspelled_top_level_key_is_config_error(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"scoring_mod": "dc"}))
+        with pytest.raises(ConfigError, match="scoring_mod"):
+            load_run_config(path)
 
     def test_bad_file_reports_config_error(self, tmp_path):
         path = tmp_path / "broken.json"

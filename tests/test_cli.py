@@ -42,6 +42,22 @@ class TestGenerate:
         assert (out / entries[0].path).exists()
         assert (out / "synth_spec.json").exists()
 
+    @pytest.mark.parametrize("fault", ["missing_key", "unknown_nested_key", "missing_file"])
+    def test_bad_spec_is_one_line_error(self, tmp_path, capsys, fault):
+        from hmic.datagen import spec_to_json
+
+        spec_path = tmp_path / "spec.json"
+        data = json.loads(spec_to_json(make_tiny_spec()))
+        if fault == "missing_key":
+            del data["machines"]
+        elif fault == "unknown_nested_key":
+            data["anomaly"]["detune_cent"] = 10.0
+        if fault != "missing_file":
+            spec_path.write_text(json.dumps(data))
+        assert run_cli("generate", "--out", tmp_path / "corpus", "--spec", spec_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_preset_generate(self, tmp_path):
         # presets are full-size; just check the spec echo parses and has 3 sections
         from hmic.datagen import PRESETS

@@ -1,6 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmic.checkpoint import from_dict, to_dict
 from hmic.datagen import (
     AnomalySpec,
     AttributeSpec,
@@ -229,6 +235,49 @@ class TestGenerate:
         assert wave.samples.size == int(spec.clip_seconds * spec.sample_rate_hz)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+names = st.text(max_size=4)
+attribute_specs = st.builds(
+    AttributeSpec,
+    name=names,
+    source_values=st.lists(names, max_size=3).map(tuple),
+    target_values=st.lists(names, max_size=3).map(tuple),
+    tones_hz=st.dictionaries(names, st.lists(finite, max_size=3).map(tuple), max_size=3),
+    jitter_scale_by_value=st.dictionaries(names, finite, max_size=3),
+)
+section_specs = st.builds(
+    SectionSpec,
+    section_id=st.integers(0, 99),
+    attributes=st.lists(attribute_specs, max_size=2).map(tuple),
+    am_rate_hz=finite,
+    counts=st.builds(ClipCounts, *[st.integers(0, 50)] * 6),
+)
+synth_specs = st.builds(
+    SynthSpec,
+    machines=st.lists(
+        st.builds(MachineSpec, name=names, sections=st.lists(section_specs, max_size=2).map(tuple)),
+        max_size=2,
+    ).map(tuple),
+    sample_rate_hz=st.integers(1, 96000),
+    clip_seconds=finite,
+    tone_amp=finite,
+    am_depth=finite,
+    tone_jitter_cents=finite,
+    noise_amp_source=finite,
+    noise_amp_target=finite,
+    anomaly=st.builds(
+        AnomalySpec,
+        detune_cents=finite,
+        clicks_per_second=finite,
+        click_amp=finite,
+        detune_attr=st.none() | names,
+        ghost_attr=st.none() | names,
+        ghost_amp=finite,
+    ),
+    seed=st.integers(0, 2**63),
+)
+
+
 class TestSpecSerialization:
     def test_dict_roundtrip(self):
         spec = shifted_spec(seed=123)
@@ -239,6 +288,21 @@ class TestSpecSerialization:
         path = tmp_path / "spec.json"
         path.write_text(spec_to_json(spec))
         assert load_spec(path) == spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=synth_specs)
+    def test_codec_json_roundtrip(self, spec):
+        assert from_dict(SynthSpec, json.loads(json.dumps(to_dict(spec)))) == spec
+
+    @pytest.mark.parametrize(
+        "preset, sha256",
+        [
+            (default_spec, "19baedb5de41aa621e68d4318f05fbe109a41690d76608ee4219bc0f35243afe"),
+            (shifted_spec, "46a3027a077325e2458b79b37b0e61a32a5401e955191b98af61b4a881778f2a"),
+        ],
+    )
+    def test_preset_json_is_pinned(self, preset, sha256):
+        assert hashlib.sha256(spec_to_json(preset(2022)).encode("utf-8")).hexdigest() == sha256
 
     def test_anomaly_defaults(self):
         anomaly = AnomalySpec()
