@@ -14,16 +14,19 @@ import dataclasses
 import hashlib
 import json
 import struct
+import types
 import typing
 from pathlib import Path
 
 import numpy as np
 
+from .errors import HmicError
+
 CHECKPOINT_MAGIC = b"HMICCKPT"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(HmicError, ValueError):
     pass
 
 
@@ -40,8 +43,10 @@ def from_dict(cls, data):
     """Rebuild dataclass ``cls`` from ``to_dict`` output or its JSON round trip.
 
     Nested dataclasses, ``tuple[...]`` and ``dict[...]`` fields are rebuilt from
-    the type hints. Missing keys take the field defaults; unknown keys raise
-    ``TypeError`` at every level.
+    the type hints. Missing keys take the field defaults; unknown keys and leaf
+    values whose type does not match the hint raise ``TypeError`` at every
+    level. A ``bool`` is not an ``int``; an ``int`` is accepted, unchanged, for
+    a ``float``.
     """
     if dataclasses.is_dataclass(cls):
         _expect(data, dict, f"an object for {cls.__name__}")
@@ -49,7 +54,13 @@ def from_dict(cls, data):
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise TypeError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-        return cls(**{name: from_dict(hints[name], value) for name, value in data.items()})
+        fields = {}
+        for name, value in data.items():
+            try:
+                fields[name] = from_dict(hints[name], value)
+            except TypeError as exc:
+                raise TypeError(f"{name}: {exc}") from None
+        return cls(**fields)
     origin, args = typing.get_origin(cls), typing.get_args(cls)
     if origin is tuple:
         _expect(data, (list, tuple), f"a list for {cls}")
@@ -60,6 +71,16 @@ def from_dict(cls, data):
         _expect(data, dict, f"an object for {cls}")
         key_type, value_type = args
         return {from_dict(key_type, k): from_dict(value_type, v) for k, v in data.items()}
+    if origin in (typing.Union, types.UnionType):
+        for arg in args:
+            try:
+                return from_dict(arg, data)
+            except TypeError:
+                pass
+        raise TypeError(f"expected {cls}, got {type(data).__name__}")
+    if isinstance(data, bool) and cls is not bool:
+        raise TypeError(f"expected {cls.__name__}, got bool")
+    _expect(data, (int, float) if cls is float else cls, cls.__name__)
     return data
 
 

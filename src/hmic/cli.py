@@ -6,16 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_run_config, save_run_config
-from .datagen import PRESETS, SynthSpecError, generate, load_spec
-from .pipeline import (
-    ConfigMismatchError,
-    PipelineError,
-    run_eval,
-    run_pipeline,
-    run_score,
-    run_train,
-)
+from .config import RunConfig, load_run_config, save_run_config
+from .datagen import PRESETS, generate, load_spec
+from .errors import HmicError
+from .pipeline import run_eval, run_pipeline, run_score, run_train
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -158,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ConfigMismatchError, PipelineError, SynthSpecError) as exc:
+    except HmicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

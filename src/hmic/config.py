@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .checkpoint import config_digest, from_dict, to_dict
 from .dsp import DspConfig
+from .errors import HmicError
 from .model import ABLATIONS, ModelConfig
 from .scoring import COVARIANCE_MODES
 from .training import TrainConfig
@@ -22,7 +23,7 @@ SCORING_MODES = ("agc", "dc")
 _SCORE_TIME_FIELDS = ("scoring_mode", "pauc_p", "jobs")
 
 
-class ConfigError(ValueError):
+class ConfigError(HmicError, ValueError):
     pass
 
 

@@ -22,10 +22,11 @@ import numpy as np
 
 from .checkpoint import from_dict, to_dict
 from .dsp import write_wav_mono
+from .errors import HmicError
 from .metadata import ClipMeta, ManifestEntry, write_manifest
 
 
-class SynthSpecError(ValueError):
+class SynthSpecError(HmicError, ValueError):
     pass
 
 

@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import HmicError
+
 FEATURE_MAGIC = b"HMICFEA1"
 
 
-class DspError(ValueError):
+class DspError(HmicError, ValueError):
     """Invalid audio input or front-end configuration."""
 
 

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import HmicError
 
-class UndefinedMetricError(ValueError):
+
+class UndefinedMetricError(HmicError, ValueError):
     """Raised when a metric is requested on degenerate input."""
 
 

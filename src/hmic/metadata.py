@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import HmicError
+
 DOMAINS = ("source", "target", "unknown")
 SPLITS = ("train", "test")
 CONDITIONS = ("normal", "anomalous", "unknown")
@@ -28,19 +30,19 @@ MANIFEST_COLUMNS = (
 )
 
 
-class FilenameParseError(ValueError):
+class FilenameParseError(HmicError, ValueError):
     """A clip filename does not follow the DCASE-style naming convention."""
 
 
-class LabelSpaceError(ValueError):
+class LabelSpaceError(HmicError, ValueError):
     """A label space cannot be built from the given clips."""
 
 
-class UnknownLabelError(KeyError):
+class UnknownLabelError(HmicError, KeyError):
     """A clip's section or attribute combination is absent from the label space."""
 
 
-class ManifestError(ValueError):
+class ManifestError(HmicError, ValueError):
     """A manifest CSV is malformed."""
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .errors import HmicError
 
 ABLATIONS = ("hmic", "domain_only", "attribute_only")
 
 
-class ModelError(ValueError):
+class ModelError(HmicError, ValueError):
     """Invalid model configuration or input shape."""
 
 
@@ -238,6 +239,8 @@ def loss_and_grads(
         dmap = nn.avg_pool2_backward(dmap, c_pool)
         dmap = nn.relu_backward(dmap, c_relu)
         dmap, grads[f"conv{i}.g"] = nn.channel_scale_backward(dmap, c_scale)
-        dmap, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = nn.conv2d_backward(dmap, c_conv)
+        dmap, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = nn.conv2d_backward(
+            dmap, c_conv, need_dx=i > 1
+        )
 
     return breakdown, grads

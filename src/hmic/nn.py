@@ -2,7 +2,10 @@
 
 Every forward function returns (output, cache); the matching backward takes
 the upstream gradient and the cache and returns input/parameter gradients.
-Kept deliberately small so every gradient can be finite-difference checked.
+A backward may return None for an input gradient its caller does not need
+(``conv2d_backward(..., need_dx=False)``, used for the first conv, whose input
+is the log-Mel batch). Kept deliberately small so every gradient can be
+finite-difference checked.
 """
 
 from __future__ import annotations
@@ -24,12 +27,26 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, (x, w)
 
 
-def conv2d_backward(dout: np.ndarray, cache):
+def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
+    """Returns (dx, dw, db); dx is None when ``need_dx`` is false.
+
+    dw is one GEMM per tap, dout (O, B*H*W) @ shifted input (C, B*H*W).T,
+    which never materialises the 9x window copy of the input.
+    """
     x, w = cache
-    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = _WIN(padded, (3, 3), axis=(2, 3))
-    dw = np.einsum("bchwij,bohw->ocij", windows, dout, optimize=True)
+    B, O, H, W = dout.shape
+    C = x.shape[1]
+    # Channel-major operands: each tap is then a (C, B*H*W) reshape of a slice.
+    dout_cm = dout.transpose(1, 0, 2, 3).reshape(O, B * H * W)
+    padded_cm = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dw = np.empty_like(w)
+    for i in range(3):
+        for j in range(3):
+            tap = padded_cm[:, :, i : i + H, j : j + W].reshape(C, B * H * W)
+            dw[:, :, i, j] = dout_cm @ tap.T
     db = dout.sum(axis=(0, 2, 3))
+    if not need_dx:
+        return None, dw, db
     dout_padded = np.pad(dout, ((0, 0), (0, 0), (1, 1), (1, 1)))
     dout_windows = _WIN(dout_padded, (3, 3), axis=(2, 3))
     flipped = w[:, :, ::-1, ::-1]
@@ -59,12 +76,14 @@ def relu_backward(dout: np.ndarray, mask):
 
 def avg_pool2(x: np.ndarray):
     """2x2 average pooling, stride 2. Trailing odd rows/columns are dropped."""
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     H2, W2 = H // 2, W // 2
     if H2 < 1 or W2 < 1:
         raise ValueError(f"input too small to pool: {x.shape}")
-    cropped = x[:, :, : 2 * H2, : 2 * W2]
-    out = cropped.reshape(B, C, H2, 2, W2, 2).mean(axis=(3, 5))
+    c = x[:, :, : 2 * H2, : 2 * W2]
+    out = c[:, :, 0::2, 0::2] + c[:, :, 0::2, 1::2]
+    out += c[:, :, 1::2, 0::2] + c[:, :, 1::2, 1::2]
+    out /= 4.0
     return out, (H, W)
 
 
@@ -72,8 +91,10 @@ def avg_pool2_backward(dout: np.ndarray, cache):
     H, W = cache
     B, C, H2, W2 = dout.shape
     dx = np.zeros((B, C, H, W), dtype=dout.dtype)
-    spread = np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
-    dx[:, :, : 2 * H2, : 2 * W2] = spread
+    quarter = dout / 4.0
+    for i in range(2):
+        for j in range(2):
+            dx[:, :, i : 2 * H2 : 2, j : 2 * W2 : 2] = quarter
     return dx
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import dsp, scoring
 from .checkpoint import from_dict, load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
+from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import ManifestEntry, assign_labels, build_label_space, read_manifest
 from .model import FeaturePair, ModelConfig, ModelParams, forward_features
@@ -27,7 +28,7 @@ from .training import train, write_training_log
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
 
 
-class PipelineError(RuntimeError):
+class PipelineError(HmicError, RuntimeError):
     pass
 
 

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .errors import HmicError
+
 COVARIANCE_MODES = ("per_group", "per_section_pooled")
 DOMAIN_INDEX = {"source": 0, "target": 1}
 
 
-class ScoringError(ValueError):
+class ScoringError(HmicError, ValueError):
     pass
 
 

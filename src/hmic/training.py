@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HmicError
 from .model import ModelConfig, ModelParams, effective_id_weight, init_params, loss_and_grads
 
 
-class TrainingError(ValueError):
+class TrainingError(HmicError, ValueError):
     pass
 
 
@@ -109,11 +110,15 @@ def train(
         lr = cosine_lr(epoch, train_config.epochs, train_config.learning_rate, train_config.lr_min)
         order = batch_rng.permutation(n_clips)
         sums = np.zeros(3)
-        for start in range(0, n_clips, train_config.batch_size):
+        for batch, start in enumerate(range(0, n_clips, train_config.batch_size)):
             idx = order[start : start + train_config.batch_size]
             breakdown, grads = loss_and_grads(
                 params, features[idx], labels_id[idx], labels_ag[idx], weight
             )
+            if not np.isfinite(breakdown.loss_total):
+                raise TrainingError(
+                    f"non-finite loss {breakdown.loss_total} at epoch {epoch}, batch {batch}"
+                )
             adam.step(
                 params.tensors,
                 grads,

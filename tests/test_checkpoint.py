@@ -135,6 +135,35 @@ class TestRunConfig:
     def test_missing_keys_take_defaults(self):
         assert from_dict(RunConfig, {"train": {"seed": 3}}) == RunConfig().with_overrides(seed=3)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"train": {"epochs": "2"}},
+            {"train": {"learning_rate": None}},
+            {"train": {"epochs": True}},
+            {"train": {"epochs": 2.0}},
+            {"dsp": {"standardize": 1}},
+            {"model": {"channels": [8, 16, "64"]}},
+            {"model": {"id_loss_weight_by_machine": {"fan": "0.3"}}},
+            {"shrinkage": "0.1"},
+            {"ablation": None},
+        ],
+    )
+    def test_wrong_leaf_type_rejected(self, data):
+        with pytest.raises(TypeError, match="expected"):
+            from_dict(RunConfig, data)
+
+    def test_int_for_float_field_is_kept_unchanged(self):
+        config = from_dict(RunConfig, {"train": {"learning_rate": 1}, "shrinkage": 2})
+        assert type(config.train.learning_rate) is int and config.shrinkage == 2
+        assert from_dict(RunConfig, {"shrinkage": None}).shrinkage is None
+
+    def test_wrong_leaf_type_in_file_is_config_error(self, tmp_path):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"train": {"epochs": "2"}}))
+        with pytest.raises(ConfigError, match="epochs"):
+            load_run_config(path)
+
     def test_misspelled_top_level_key_is_config_error(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"scoring_mod": "dc"}))

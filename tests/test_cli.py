@@ -42,7 +42,9 @@ class TestGenerate:
         assert (out / entries[0].path).exists()
         assert (out / "synth_spec.json").exists()
 
-    @pytest.mark.parametrize("fault", ["missing_key", "unknown_nested_key", "missing_file"])
+    @pytest.mark.parametrize(
+        "fault", ["missing_key", "unknown_nested_key", "wrong_leaf_type", "missing_file"]
+    )
     def test_bad_spec_is_one_line_error(self, tmp_path, capsys, fault):
         from hmic.datagen import spec_to_json
 
@@ -52,6 +54,8 @@ class TestGenerate:
             del data["machines"]
         elif fault == "unknown_nested_key":
             data["anomaly"]["detune_cent"] = 10.0
+        elif fault == "wrong_leaf_type":
+            data["sample_rate_hz"] = "16000"
         if fault != "missing_file":
             spec_path.write_text(json.dumps(data))
         assert run_cli("generate", "--out", tmp_path / "corpus", "--spec", spec_path) == 2
@@ -259,6 +263,16 @@ class TestCacheAndJobs:
 
 
 class TestPipelineCommand:
+    def test_wrong_config_leaf_type_fails_before_generating(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"train": {"epochs": "2"}}))
+        workdir = tmp_path / "run"
+        code = run_cli("pipeline", "--workdir", workdir, "--config", config_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "epochs" in err
+        assert not workdir.exists()
+
     def test_end_to_end_tiny(self, tmp_path, tiny_config_path):
         workdir = tmp_path / "run"
         spec_path = tmp_path / "spec.json"
@@ -293,3 +307,37 @@ class TestPipelineCommand:
         dc_groups = set(argmins(dc_csv).values())
         assert dc_groups <= {0, 1}  # domain indices only
         assert max(agc_groups) > 1  # attribute-group labels span further
+
+
+class TestErrors:
+    def test_every_error_class_shares_the_base(self):
+        import importlib
+        import pkgutil
+
+        import hmic
+        from hmic.errors import HmicError
+
+        found = []
+        for info in pkgutil.iter_modules(hmic.__path__):
+            module = importlib.import_module(f"hmic.{info.name}")
+            for name, value in vars(module).items():
+                if (
+                    isinstance(value, type)
+                    and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__
+                ):
+                    found.append(value)
+                    assert name.endswith("Error") and issubclass(value, HmicError), name
+        assert len(found) >= 15  # HmicError and the 14 errors built on it
+
+    def test_corrupt_checkpoint_is_one_line_error(self, tiny_corpus, tmp_path, capsys):
+        _, manifest = tiny_corpus
+        checkpoint = tmp_path / "model.hmic"
+        checkpoint.write_bytes(b"not a checkpoint")
+        code = run_cli(
+            "score", "--checkpoint", checkpoint, "--manifest", manifest,
+            "--out", tmp_path / "scores.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

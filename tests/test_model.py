@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,49 @@ def conv2d_oracle(x, w, b):
     return out
 
 
+def conv2d_backward_oracle(dout, x, w):
+    """Loop-form gradients of the 3x3 same-padding convolution."""
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dpadded = np.zeros_like(padded)
+    dw = np.zeros_like(w)
+    db = np.zeros(O)
+    for n in range(B):
+        for o in range(O):
+            for y in range(H):
+                for xx in range(W):
+                    g = dout[n, o, y, xx]
+                    db[o] += g
+                    for c in range(C):
+                        for i in range(3):
+                            for j in range(3):
+                                dw[o, c, i, j] += g * padded[n, c, y + i, xx + j]
+                                dpadded[n, c, y + i, xx + j] += g * w[o, c, i, j]
+    return dpadded[:, :, 1:-1, 1:-1], dw, db
+
+
+def avg_pool2_reshape_mean(x):
+    """The pooling formula the slice sum replaced; the bitwise reference."""
+    B, C, H, W = x.shape
+    H2, W2 = H // 2, W // 2
+    return x[:, :, : 2 * H2, : 2 * W2].reshape(B, C, H2, 2, W2, 2).mean(axis=(3, 5))
+
+
+def avg_pool2_backward_repeat(dout, H, W):
+    """The pooling backward the slice assignment replaced; the bitwise reference."""
+    B, C, H2, W2 = dout.shape
+    dx = np.zeros((B, C, H, W))
+    dx[:, :, : 2 * H2, : 2 * W2] = np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
+    return dx
+
+
+# The reshape-mean adds each window as (a + b) + (c + d) once the pooled width
+# is 2 or more, as the slice sum does; every pipeline input (63 or 313 frames)
+# keeps it there. A pooled width of 1 makes numpy add ((a + b) + c) + d.
+POOL_SHAPES = [(2, 3, 8, 6), (2, 3, 7, 5), (3, 2, 9, 10), (32, 8, 128, 63), (1, 1, 2, 4)]
+
+
 class TestPrimitives:
     def test_conv_matches_loop_oracle_on_4x4(self):
         rng = np.random.default_rng(7)
@@ -60,6 +104,49 @@ class TestPrimitives:
         out, _ = nn.avg_pool2(x)
         assert out.shape == (2, 1, 2, 3)
         assert out[0, 0, 0, 0] == np.mean([x[0, 0, 0, 0], x[0, 0, 0, 1], x[0, 0, 1, 0], x[0, 0, 1, 1]])
+
+    def test_conv_backward_matches_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        dout = rng.normal(size=(2, 4, 7, 6))
+        dx, dw, db = nn.conv2d_backward(dout, (x, w))
+        dx_ref, dw_ref, db_ref = conv2d_backward_oracle(dout, x, w)
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw, dw_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db, db_ref, rtol=1e-12, atol=1e-12)
+
+    def test_conv_backward_without_dx_keeps_dw_and_db(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        dout = rng.normal(size=(2, 4, 7, 6))
+        _, dw, db = nn.conv2d_backward(dout, (x, w))
+        dx_none, dw_only, db_only = nn.conv2d_backward(dout, (x, w), need_dx=False)
+        assert dx_none is None
+        np.testing.assert_array_equal(dw_only, dw)
+        np.testing.assert_array_equal(db_only, db)
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    @pytest.mark.parametrize("layout", ["contiguous", "conv_output", "reversed_rows"])
+    def test_avg_pool_is_bitwise_the_reshape_mean(self, shape, layout):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=shape)
+        if layout == "conv_output":  # channel-major memory, as the conv einsum returns
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        elif layout == "reversed_rows":
+            x = x[:, :, ::-1]
+        out, cache = nn.avg_pool2(x)
+        np.testing.assert_array_equal(out, avg_pool2_reshape_mean(x))
+        dout = rng.normal(size=out.shape)
+        np.testing.assert_array_equal(
+            nn.avg_pool2_backward(dout, cache), avg_pool2_backward_repeat(dout, *shape[2:])
+        )
+
+    def test_avg_pool_of_width_one_is_within_rounding_of_the_reshape_mean(self):
+        x = np.random.default_rng(14).normal(size=(2, 3, 6, 3))
+        out, _ = nn.avg_pool2(x)
+        np.testing.assert_allclose(out, avg_pool2_reshape_mean(x), rtol=0, atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -226,3 +313,33 @@ class TestAblationWeights:
         _, grads_attr = loss_and_grads(params, x, labels_id, labels_ag, 0.0)
         assert np.all(grads_attr["cls_id.w"] == 0.0)
         assert np.any(grads_attr["conv1.w"] != 0.0)  # backbone still learns
+
+
+class TestBackward:
+    def test_only_conv1_skips_its_input_gradient(self, monkeypatch):
+        calls = []
+        original = nn.conv2d_backward
+
+        def recording(dout, cache, need_dx=True):
+            calls.append((cache[1].shape[1], need_dx))
+            return original(dout, cache, need_dx=need_dx)
+
+        monkeypatch.setattr(nn, "conv2d_backward", recording)
+        x = np.random.default_rng(8).normal(size=(2, 1, 8, 8))
+        loss_and_grads(micro_params(), x, np.array([0, 1]), np.array([0, 2]), 0.5)
+        assert sorted(calls) == [(1, False), (2, True), (3, True), (4, True)]
+
+    def test_training_step_memory_stays_bounded(self):
+        # One default-size step peaks near 160 MB; the 9x window copies of the
+        # weight gradient, or conv1's input gradient, took it to about 230 MB.
+        rng = np.random.default_rng(9)
+        params = init_params(ModelConfig(), 6, 12, rng)
+        x = rng.normal(size=(32, 1, 128, 63))
+        labels = np.arange(32)
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, x, labels % 6, labels % 12, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 180e6, f"peak {peak / 1e6:.0f} MB"

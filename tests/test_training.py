@@ -92,6 +92,12 @@ class TestTrain:
         assert not np.array_equal(params.tensors["conv1.w"], init.tensors["conv1.w"])
         assert all(row.loss_total == row.loss_ag for row in log)
 
+    def test_non_finite_loss_aborts_before_the_update(self):
+        matrices, labels = separable_corpus(n_per_class=4)
+        matrices[5, 2, 3] = np.nan
+        with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+            train(matrices, labels, labels, 2, 2, MICRO, TrainConfig(epochs=2, batch_size=8))
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             train(np.zeros((0, 1, 8, 8)), np.array([]), np.array([]), 1, 1, MICRO)
