@@ -8,7 +8,9 @@ natural log with a 1e-10 floor.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import wave as wave_module
 from dataclasses import dataclass
 from functools import lru_cache
@@ -209,9 +211,17 @@ def save_features(path: str | Path, values: np.ndarray) -> None:
         raise DspError(f"feature matrix must be 2-D, got shape {values.shape}")
     data = values.astype("<f4")
     header = FEATURE_MAGIC + struct.pack("<II", data.shape[0], data.shape[1])
-    with Path(path).open("wb") as handle:
-        handle.write(header)
-        handle.write(data.tobytes())
+    # Write a sibling temp file, named per process and thread, and rename it
+    # over the entry: no reader sees, and no crash leaves, a half-written one.
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with tmp.open("wb") as handle:
+            handle.write(header)
+            handle.write(data.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_features(path: str | Path) -> np.ndarray:

@@ -18,6 +18,14 @@ from .errors import HmicError
 
 ABLATIONS = ("hmic", "domain_only", "attribute_only")
 
+# Input pixels (clips x n_mels x frames) per inference chunk: 12 clips at
+# 128x63, 2 at 128x313. Per-clip forward cost (one BLAS thread, medians of 3)
+# by clips per call was 4.9/3.5/2.3/2.4/2.5/3.3 ms for 1/2/4/8/12/32 clips at
+# 128x63, and 13.8/10.5/11.9/17.3/24.0 ms for 1/2/4/8/32 clips at 128x313:
+# past about 100k pixels each layer's temporaries outgrow the cache and the
+# kernel spends its time zeroing fresh pages for them.
+_CHUNK_PIXELS = 100_000
+
 
 class ModelError(HmicError, ValueError):
     """Invalid model configuration or input shape."""
@@ -160,10 +168,22 @@ def _forward(params: ModelParams, x: np.ndarray):
 def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     """Deterministic inference-mode feature extraction.
 
-    Accepts a single (H, W) matrix or a (B, 1, H, W) / (B, H, W) batch.
+    Accepts a single (H, W) matrix or a (B, 1, H, W) / (B, H, W) batch. The
+    batch runs in chunks of about ``_CHUNK_PIXELS`` input pixels, so the
+    activation caches live for one chunk only. Every layer works clip by clip,
+    so a clip's features do not depend on its chunk; only under 16 frames,
+    where the head conv's per-clip GEMM has fewer than 32 rows and OpenBLAS
+    sums it in another order, may they move in the last bit.
     """
-    pair, _ = _forward(params, _as_batch(x))
-    return pair
+    x = _as_batch(x)
+    step = max(1, _CHUNK_PIXELS // (x.shape[2] * x.shape[3]))
+    # An empty batch still runs once, so it yields (0, d) feature matrices.
+    starts = range(0, x.shape[0] or 1, step)
+    pairs = [_forward(params, x[i : i + step])[0] for i in starts]
+    return FeaturePair(
+        feat_low=np.concatenate([p.feat_low for p in pairs]),
+        feat_high=np.concatenate([p.feat_high for p in pairs]),
+    )
 
 
 def classify(params: ModelParams, features: FeaturePair) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import ManifestEntry, assign_labels, build_label_space, read_manifest
-from .model import FeaturePair, ModelConfig, ModelParams, forward_features
+from .model import ModelConfig, ModelParams, forward_features
 from .training import train, write_training_log
 
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
@@ -60,7 +60,10 @@ def extract_features(
     def one(entry: ManifestEntry) -> tuple[str, np.ndarray]:
         cached = _cache_path(cache_dir, entry.meta.clip_id)
         if cached.exists():
-            return entry.meta.clip_id, dsp.load_features(cached)
+            try:
+                return entry.meta.clip_id, dsp.load_features(cached)
+            except dsp.DspError:
+                pass  # a corrupt entry is a miss: re-extract and rewrite it
         wave = dsp.read_wav_mono(corpus_root / entry.path)
         values = dsp.log_mel(wave, config.dsp).values.astype(np.float32)
         dsp.save_features(cached, values)
@@ -87,15 +90,6 @@ def _stack_inputs(entries, features, config) -> np.ndarray:
     if len(shapes) != 1:
         raise PipelineError(f"clips disagree on feature shape: {sorted(shapes)}")
     return np.stack(matrices)[:, None]
-
-
-def _batched_features(params: ModelParams, inputs: np.ndarray, batch: int = 32) -> FeaturePair:
-    lows, highs = [], []
-    for start in range(0, inputs.shape[0], batch):
-        pair = forward_features(params, inputs[start : start + batch])
-        lows.append(pair.feat_low)
-        highs.append(pair.feat_high)
-    return FeaturePair(feat_low=np.concatenate(lows), feat_high=np.concatenate(highs))
 
 
 def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | Path,
@@ -142,7 +136,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
         )
         write_training_log(workdir / f"train_log_{machine}.csv", log)
 
-        embeddings = _batched_features(params, inputs, config.train.batch_size)
+        embeddings = forward_features(params, inputs)
         sections = np.array([e.meta.section_id for e in own])
         agc = scoring.fit_agc(
             embeddings.feat_high, labels_ag, sections,
@@ -241,7 +235,7 @@ def run_score(
             errors.extend(f"{e.meta.clip_id}: unknown machine type {machine!r}" for e in own)
             continue
         inputs = _stack_inputs(own, features, config)
-        embeddings = _batched_features(params[machine], inputs, config.train.batch_size)
+        embeddings = forward_features(params[machine], inputs)
         score_fn = scoring.score_agc if config.scoring_mode == "agc" else scoring.score_dc
         for i, entry in enumerate(own):
             try:
@@ -273,7 +267,8 @@ def run_score(
 
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
-    """clip_id -> score; raises on error rows (blank scores)."""
+    """clip_id -> score; raises on error rows (blank scores), unparsable
+    scores and a clip_id that appears twice."""
     path = Path(path)
     scores: dict[str, float] = {}
     with path.open("r", newline="", encoding="utf-8") as handle:
@@ -290,7 +285,12 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
             if score == "":
                 raise PipelineError(f"{path}: clip {clip_id!r} has an error row; "
                                     f"re-run scoring successfully before eval")
-            scores[clip_id] = float(score)
+            if clip_id in scores:
+                raise PipelineError(f"{path}:{row_num}: clip {clip_id!r} scored twice")
+            try:
+                scores[clip_id] = float(score)
+            except ValueError:
+                raise PipelineError(f"{path}:{row_num}: score {score!r} is not a number") from None
     return scores
 
 
@@ -305,6 +305,10 @@ def run_eval(
     """Join scores with manifest truth and build the AUC/pAUC report."""
     scores = read_scores_csv(scores_csv)
     by_id = {e.meta.clip_id: e.meta for e in read_manifest(manifest_path)}
+    unscored = [cid for cid, meta in by_id.items() if meta.split == "test" and cid not in scores]
+    if unscored:
+        raise PipelineError(f"{len(unscored)} manifest test clips have no score, "
+                            f"first {unscored[0]!r}; score the whole manifest before eval")
     clips = []
     for clip_id, score in scores.items():
         meta = by_id.get(clip_id)

@@ -202,6 +202,28 @@ class TestEval:
                        "--out", tmp_path / "r.json")
         assert code == 2
 
+    @pytest.mark.parametrize("fault", ["every_other_clip", "duplicate_row", "bad_number"])
+    def test_scores_must_cover_each_test_clip_once(self, scores_csv, tmp_path, capsys,
+                                                   fault):
+        manifest, scores = scores_csv
+        header, *rows = scores.read_text().splitlines()
+        if fault == "every_other_clip":
+            rows = rows[::2]
+        elif fault == "duplicate_row":
+            rows = rows + rows[:1]
+        else:
+            clip_id, section, _, argmin = rows[0].split(",")
+            rows[0] = f"{clip_id},{section},high,{argmin}"
+        mangled = tmp_path / "mangled.csv"
+        mangled.write_text("\n".join([header, *rows]) + "\n")
+        report_path = tmp_path / "r.json"
+        code = run_cli("eval", "--scores", mangled, "--manifest", manifest,
+                       "--out", report_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not report_path.exists()
+
     def test_pauc_p_one_collapses_to_auc(self, scores_csv, tmp_path):
         manifest, scores = scores_csv
         report_path = tmp_path / "report.json"
@@ -248,6 +270,26 @@ class TestCacheAndJobs:
             "--out", tmp_path / "scores.csv", "--config", tiny_config_path,
         ) == 0
         assert list(cache_root.rglob("*.feat"))
+
+    @pytest.mark.parametrize("fault", ["truncated", "garbage"])
+    def test_corrupt_cache_entry_is_re_extracted(self, trained, tmp_path, tiny_config_path,
+                                                 fault):
+        corpus_root, manifest, checkpoint, _ = trained
+
+        def score(name):
+            out = tmp_path / f"scores_{name}.csv"
+            assert run_cli(
+                "score", "--checkpoint", checkpoint, "--manifest", manifest,
+                "--out", out, "--config", tiny_config_path,
+            ) == 0
+            return out.read_bytes()
+
+        clean = score("clean")
+        entry = sorted((tmp_path / "feature_cache").rglob("*.feat"))[0]
+        intact = entry.read_bytes()
+        entry.write_bytes(intact[:-8] if fault == "truncated" else b"NOTAFEAT" + intact[8:])
+        assert score("again") == clean
+        assert entry.read_bytes() == intact
 
     def test_parallel_jobs_do_not_change_scores(self, trained, tmp_path, tiny_config_path):
         corpus_root, manifest, checkpoint, _ = trained

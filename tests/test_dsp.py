@@ -204,6 +204,14 @@ class TestFeatureCache:
         save_features(path, values)
         np.testing.assert_array_equal(load_features(path), values)
 
+    def test_save_replaces_the_entry_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "clip.feat"
+        save_features(path, np.zeros((4, 4), dtype=np.float32))
+        values = np.arange(6, dtype=np.float32).reshape(2, 3)
+        save_features(path, values)
+        np.testing.assert_array_equal(load_features(path), values)
+        assert [p.name for p in tmp_path.iterdir()] == ["clip.feat"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.feat"
         path.write_bytes(b"NOTAFEAT" + b"\x00" * 32)

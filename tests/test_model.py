@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -206,6 +206,59 @@ class TestForwardFeatures:
     def test_multichannel_input_rejected(self):
         with pytest.raises(ModelError):
             forward_features(micro_params(), np.zeros((1, 2, 8, 8)))
+
+    @settings(max_examples=25, deadline=None)
+    @example(n_clips=30, n_frames=70, seed=0)  # chunks of 11, 11 and 8 clips
+    @given(
+        n_clips=st.integers(1, 30),
+        n_frames=st.integers(8, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_features_do_not_depend_on_the_chunking(self, n_clips, n_frames, seed):
+        # Default widths: 11-97 clips per chunk, so stacks of up to 30 clips
+        # at 8-70 frames run as one chunk or as several with a remainder.
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelConfig(), 3, 4, rng)
+        x = rng.normal(size=(n_clips, 1, 128, n_frames))
+        # Under 16 frames one clip's head conv is a GEMM of 16 rows, and
+        # OpenBLAS sums GEMMs of fewer than 32 rows in another order, so
+        # there a clip's features move by rounding with its chunk.
+        self._assert_stack_equals_per_clip(params, x, exact=n_frames >= 16)
+
+    def test_features_do_not_depend_on_the_chunking_at_dcase_size(self):
+        rng = np.random.default_rng(12)
+        params = init_params(ModelConfig(), 3, 4, rng)
+        self._assert_stack_equals_per_clip(params, rng.normal(size=(3, 1, 128, 313)))
+
+    @staticmethod
+    def _assert_stack_equals_per_clip(params, x, exact=True):
+        stacked = forward_features(params, x)
+        clips = [forward_features(params, clip[0]) for clip in x]
+        for name in ("feat_low", "feat_high"):
+            expected = np.concatenate([getattr(c, name) for c in clips])
+            if exact:
+                np.testing.assert_array_equal(getattr(stacked, name), expected)
+            else:
+                np.testing.assert_allclose(getattr(stacked, name), expected,
+                                           rtol=1e-12, atol=1e-15)
+
+    def test_empty_stack_gives_empty_features(self):
+        pair = forward_features(micro_params(), np.zeros((0, 1, 16, 16)))
+        assert pair.feat_low.shape == (0, 4) and pair.feat_high.shape == (0, 4)
+
+    def test_inference_memory_stays_bounded(self):
+        # 32 clips at 128x313 peak near 23 MB in chunks of two clips; as one
+        # 32-clip batch they peaked at about 360 MB.
+        rng = np.random.default_rng(10)
+        params = init_params(ModelConfig(), 6, 12, rng)
+        x = rng.normal(size=(32, 1, 128, 313))
+        tracemalloc.start()
+        try:
+            forward_features(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
 
 
 class TestClassify:
