@@ -14,6 +14,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +45,9 @@ def main() -> int:
     settings = [(f"weight={w:g}", "hmic", w) for w in args.weights]
     settings += [("domain_only", "domain_only", 0.5), ("attribute_only", "attribute_only", 0.5)]
 
+    # The settings differ only past the front end, so they share one feature
+    # cache: each clip is extracted once for the whole sweep.
+    os.environ.setdefault("HMIC_CACHE_DIR", str(args.workdir / "feature_cache"))
     print(f"{'setting':<16}{'AUC hm':>9}{'pAUC hm':>9}{'combined':>10}")
     for tag, ablation, weight in settings:
         config = RunConfig(

@@ -8,6 +8,7 @@ natural log with a 1e-10 floor.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import threading
@@ -175,15 +176,26 @@ def standardize(values: np.ndarray) -> np.ndarray:
 # --- WAV I/O (16-bit PCM mono) ---------------------------------------------
 
 
-def read_wav_mono(path: str | Path) -> Waveform:
-    path = Path(path)
-    with wave_module.open(str(path), "rb") as handle:
-        if handle.getnchannels() != 1:
-            raise DspError(f"{path}: expected mono audio, got {handle.getnchannels()} channels")
-        if handle.getsampwidth() != 2:
-            raise DspError(f"{path}: expected 16-bit PCM, got {8 * handle.getsampwidth()}-bit")
-        rate = handle.getframerate()
-        raw = handle.readframes(handle.getnframes())
+def read_wav_mono(source: str | Path | bytes, name: str | Path | None = None) -> Waveform:
+    """Decode a WAV file given by path or by its bytes (``name`` labels errors
+    about bytes). A missing, truncated or non-WAV input raises DspError."""
+    if isinstance(source, bytes):
+        label, opened = name or "WAV data", io.BytesIO(source)
+    else:
+        label, opened = source, str(source)
+    try:
+        with wave_module.open(opened, "rb") as handle:
+            channels, width = handle.getnchannels(), handle.getsampwidth()
+            if channels != 1:
+                raise DspError(f"{label}: expected mono audio, got {channels} channels")
+            if width != 2:
+                raise DspError(f"{label}: expected 16-bit PCM, got {8 * width}-bit")
+            rate, n_samples = handle.getframerate(), handle.getnframes()
+            raw = handle.readframes(n_samples)
+    except (OSError, EOFError, wave_module.Error) as exc:
+        raise DspError(f"{label}: cannot read WAV ({exc})") from None
+    if len(raw) != 2 * n_samples:
+        raise DspError(f"{label}: truncated WAV (have {len(raw)} of {2 * n_samples} data bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate_hz=rate)
 

@@ -3,12 +3,16 @@
 Stages are re-runnable: the checkpoint embeds the semantic config digest and
 scoring refuses to run against a checkpoint built from a different config.
 Features are cached (and always routed through the f32 cache precision, so
-cached and fresh runs produce bit-identical results).
+cached and fresh runs produce bit-identical results). A cache entry is keyed by
+what a log-Mel depends on, the front-end config and the WAV's bytes, so runs
+that differ only in model, training or ablation settings share extraction, and
+corpora that reuse clip IDs never share entries.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, scoring
-from .checkpoint import from_dict, load_checkpoint, save_checkpoint, to_dict
+from .checkpoint import config_digest, from_dict, load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
@@ -39,12 +43,7 @@ class ConfigMismatchError(PipelineError):
 def _cache_dir(workdir: Path, config: RunConfig) -> Path:
     root = os.environ.get("HMIC_CACHE_DIR")
     base = Path(root) if root else workdir / "feature_cache"
-    digest = config.semantic_digest()[:12]
-    return base / digest
-
-
-def _cache_path(cache_dir: Path, clip_id: str) -> Path:
-    return cache_dir / (clip_id.replace("/", "__") + ".feat")
+    return base / config_digest(to_dict(config.dsp))[:12]
 
 
 def extract_features(
@@ -58,13 +57,18 @@ def extract_features(
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     def one(entry: ManifestEntry) -> tuple[str, np.ndarray]:
-        cached = _cache_path(cache_dir, entry.meta.clip_id)
+        path = corpus_root / entry.path
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise dsp.DspError(f"{path}: cannot read clip ({exc.strerror or exc})") from None
+        cached = cache_dir / (hashlib.sha256(data).hexdigest() + ".feat")
         if cached.exists():
             try:
                 return entry.meta.clip_id, dsp.load_features(cached)
             except dsp.DspError:
                 pass  # a corrupt entry is a miss: re-extract and rewrite it
-        wave = dsp.read_wav_mono(corpus_root / entry.path)
+        wave = dsp.read_wav_mono(data, name=path)
         values = dsp.log_mel(wave, config.dsp).values.astype(np.float32)
         dsp.save_features(cached, values)
         return entry.meta.clip_id, values

@@ -1,14 +1,18 @@
 import csv
 import json
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hmic import dsp
 from hmic.cli import main
+from hmic.datagen import generate
 from hmic.metadata import read_manifest, write_manifest
-from hmic.pipeline import read_scores_csv
+from hmic.pipeline import extract_features, read_scores_csv, run_train
 
-from conftest import make_tiny_spec
+from conftest import make_tiny_config, make_tiny_spec
 
 
 def run_cli(*args):
@@ -27,6 +31,20 @@ def trained(tmp_path_factory, tiny_corpus, tiny_config_path):
     )
     assert code == 0
     return corpus_root, manifest, checkpoint, workdir
+
+
+@pytest.fixture()
+def log_mel_calls(monkeypatch):
+    """A list that gains one item per ``dsp.log_mel`` call, i.e. per cache miss."""
+    calls = []
+    real = dsp.log_mel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dsp, "log_mel", counting)
+    return calls
 
 
 class TestGenerate:
@@ -291,17 +309,110 @@ class TestCacheAndJobs:
         assert score("again") == clean
         assert entry.read_bytes() == intact
 
-    def test_parallel_jobs_do_not_change_scores(self, trained, tmp_path, tiny_config_path):
+    def test_parallel_jobs_do_not_change_scores(self, trained, tmp_path, tiny_config_path,
+                                                monkeypatch, log_mel_calls):
         corpus_root, manifest, checkpoint, _ = trained
-        outputs = []
+        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
+        outputs, caches = [], []
         for jobs in ("1", "3"):
+            cache = tmp_path / f"cache_j{jobs}"  # each run extracts into its own cache
+            monkeypatch.setenv("HMIC_CACHE_DIR", str(cache))
+            log_mel_calls.clear()
             out = tmp_path / f"scores_j{jobs}.csv"
             assert run_cli(
                 "score", "--checkpoint", checkpoint, "--manifest", manifest,
                 "--out", out, "--config", tiny_config_path, "--jobs", jobs,
             ) == 0
+            assert len(log_mel_calls) == n_test
             outputs.append(out.read_bytes())
+            caches.append({p.relative_to(cache): p.read_bytes() for p in cache.rglob("*.feat")})
         assert outputs[0] == outputs[1]
+        assert len(caches[0]) == n_test and caches[0] == caches[1]
+
+
+class TestFeatureCacheKey:
+    """An entry is keyed by what a log-Mel depends on: front-end config and WAV bytes."""
+
+    def test_corpora_sharing_clip_ids_get_their_own_features(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HMIC_CACHE_DIR", str(tmp_path / "shared_cache"))
+        config = make_tiny_config()
+        clip_ids = []
+        for seed in (7, 8):
+            root = tmp_path / f"corpus_{seed}"
+            entries = read_manifest(generate(make_tiny_spec(seed=seed), root))
+            clip_ids.append([e.meta.clip_id for e in entries])
+            features = extract_features(entries, root, config, tmp_path / f"work_{seed}")
+            for entry in entries:
+                fresh = dsp.log_mel(dsp.read_wav_mono(root / entry.path), config.dsp)
+                np.testing.assert_array_equal(features[entry.meta.clip_id],
+                                              fresh.values.astype(np.float32))
+        assert clip_ids[0] == clip_ids[1]
+
+    def test_settings_past_the_front_end_reuse_every_entry(self, tiny_corpus, tmp_path,
+                                                           log_mel_calls):
+        corpus_root, _ = tiny_corpus
+        base = make_tiny_config()
+        base = replace(base, train=replace(base.train, epochs=1))
+        run_train(base, corpus_root, tmp_path / "base.hmic", tmp_path)
+        assert log_mel_calls
+        variants = (
+            base.with_overrides(seed=8),
+            base.with_overrides(ablation="domain_only"),
+            replace(base, model=replace(base.model, id_loss_weight=0.25)),
+        )
+        log_mel_calls.clear()
+        for i, config in enumerate(variants):
+            run_train(config, corpus_root, tmp_path / f"variant{i}.hmic", tmp_path)
+        assert log_mel_calls == []
+
+    def test_a_front_end_change_re_extracts(self, tiny_corpus, tmp_path, log_mel_calls):
+        corpus_root, manifest = tiny_corpus
+        entries = read_manifest(manifest)
+        config = make_tiny_config()
+        extract_features(entries, corpus_root, config, tmp_path)
+        log_mel_calls.clear()
+        narrow = replace(config, dsp=replace(config.dsp, n_mels=64))
+        features = extract_features(entries, corpus_root, narrow, tmp_path)
+        assert len(log_mel_calls) == len(entries)
+        assert {f.shape[0] for f in features.values()} == {64}
+
+
+class TestCorpusReadErrors:
+    @pytest.fixture()
+    def corpus_copy(self, tiny_corpus, tmp_path):
+        copy = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus[0], copy)
+        return copy, read_manifest(copy / "manifest.csv")
+
+    def test_train_with_a_missing_clip_is_one_line_error(self, corpus_copy, tmp_path,
+                                                         tiny_config_path, capsys):
+        corpus, entries = corpus_copy
+        victim = next(e for e in entries if e.meta.split == "train")
+        (corpus / victim.path).unlink()
+        checkpoint = tmp_path / "model.hmic"
+        code = run_cli(
+            "train", "--corpus", corpus, "--out", checkpoint, "--config", tiny_config_path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and victim.path in err
+        assert not checkpoint.exists()
+
+    def test_score_with_a_non_wav_clip_is_one_line_error(self, trained, corpus_copy, tmp_path,
+                                                         tiny_config_path, capsys):
+        checkpoint = trained[2]
+        corpus, entries = corpus_copy
+        victim = next(e for e in entries if e.meta.split == "test")
+        (corpus / victim.path).write_bytes(b"not a wav file")
+        out = tmp_path / "scores.csv"
+        code = run_cli(
+            "score", "--checkpoint", checkpoint, "--manifest", corpus / "manifest.csv",
+            "--out", out, "--config", tiny_config_path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and victim.path in err
+        assert not out.exists()
 
 
 class TestPipelineCommand:

@@ -191,6 +191,31 @@ class TestWavIO:
         with pytest.raises(DspError, match="mono"):
             read_wav_mono(path)
 
+    def test_bytes_decode_like_the_path(self, tmp_path):
+        path = tmp_path / "clip.wav"
+        write_wav_mono(path, np.linspace(-0.5, 0.5, 512), SR)
+        from_bytes = read_wav_mono(path.read_bytes())
+        assert from_bytes.sample_rate_hz == SR
+        np.testing.assert_array_equal(from_bytes.samples, read_wav_mono(path).samples)
+
+    @pytest.mark.parametrize(
+        "fault", ["missing", "not_riff", "truncated_header", "truncated_data", "empty"]
+    )
+    def test_unreadable_file_is_dsp_error_naming_it(self, tmp_path, fault):
+        path = tmp_path / "clip.wav"
+        if fault != "missing":
+            write_wav_mono(path, np.zeros(64), SR)
+            data = path.read_bytes()
+            faulty = {"not_riff": b"JUNK" + data[4:], "truncated_header": data[:20],
+                      "truncated_data": data[:-3], "empty": b""}
+            path.write_bytes(faulty[fault])
+        with pytest.raises(DspError, match="clip.wav"):
+            read_wav_mono(path)
+
+    def test_bad_bytes_error_carries_the_given_name(self):
+        with pytest.raises(DspError, match="corpus/a.wav"):
+            read_wav_mono(b"not a wav file", name="corpus/a.wav")
+
     def test_overrange_samples_rejected(self, tmp_path):
         with pytest.raises(DspError, match="full scale"):
             write_wav_mono(tmp_path / "x.wav", np.array([1.5]), SR)
