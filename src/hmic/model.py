@@ -63,14 +63,6 @@ class ModelParams:
     n_sections: int
     n_groups: int
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            config=self.config,
-            n_sections=self.n_sections,
-            n_groups=self.n_groups,
-        )
-
 
 @dataclass(frozen=True)
 class FeaturePair:
@@ -140,58 +132,53 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(params: ModelParams, x: np.ndarray):
+def _block(h: np.ndarray, t: dict, name: str, caches: dict | None, pool: bool = True):
+    """Block ``name``: conv -> gain -> ReLU, then a 2x2 pool unless ``pool`` is
+    false. Its backward caches go to ``caches[name]`` when ``caches`` is given;
+    otherwise they die when the block returns, before the next block runs."""
+    h, c_conv = nn.conv2d(h, t[f"{name}.w"], t[f"{name}.b"])
+    h, c_scale = nn.channel_scale(h, t[f"{name}.g"])
+    h, c_relu = nn.relu(h)
+    h, c_pool = nn.avg_pool2(h) if pool else (h, None)
+    if caches is not None:
+        caches[name] = (c_conv, c_scale, c_relu, c_pool)
+    return h
+
+
+def _forward(params: ModelParams, x: np.ndarray, caches: dict | None = None) -> FeaturePair:
+    """Both feature vectors; fills ``caches`` for the backward pass when given."""
     t = params.tensors
-    caches = []
     h = x
     for i in range(1, len(params.config.channels) + 1):
-        h, c_conv = nn.conv2d(h, t[f"conv{i}.w"], t[f"conv{i}.b"])
-        h, c_scale = nn.channel_scale(h, t[f"conv{i}.g"])
-        h, c_relu = nn.relu(h)
-        h, c_pool = nn.avg_pool2(h)
-        caches.append((c_conv, c_scale, c_relu, c_pool))
-    backbone_map = h
-    feat_low, c_gap_low = nn.global_avg_pool(backbone_map)
-    hh, c_hconv = nn.conv2d(backbone_map, t["head.w"], t["head.b"])
-    hh, c_hscale = nn.channel_scale(hh, t["head.g"])
-    hh, c_hrelu = nn.relu(hh)
-    feat_high, c_gap_high = nn.global_avg_pool(hh)
-    cache = {
-        "blocks": caches,
-        "gap_low": c_gap_low,
-        "head": (c_hconv, c_hscale, c_hrelu),
-        "gap_high": c_gap_high,
-    }
-    return FeaturePair(feat_low=feat_low, feat_high=feat_high), cache
+        h = _block(h, t, f"conv{i}", caches)
+    feat_low, c_gap_low = nn.global_avg_pool(h)
+    feat_high, c_gap_high = nn.global_avg_pool(_block(h, t, "head", caches, pool=False))
+    if caches is not None:
+        caches.update(gap_low=c_gap_low, gap_high=c_gap_high)
+    return FeaturePair(feat_low=feat_low, feat_high=feat_high)
 
 
 def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     """Deterministic inference-mode feature extraction.
 
     Accepts a single (H, W) matrix or a (B, 1, H, W) / (B, H, W) batch. The
-    batch runs in chunks of about ``_CHUNK_PIXELS`` input pixels, so the
-    activation caches live for one chunk only. Every layer works clip by clip,
-    so a clip's features do not depend on its chunk; only under 16 frames,
-    where the head conv's per-clip GEMM has fewer than 32 rows and OpenBLAS
-    sums it in another order, may they move in the last bit.
+    batch runs in chunks of about ``_CHUNK_PIXELS`` input pixels and keeps no
+    backward caches, so a chunk's heap peaks well under twice its largest
+    temporary (conv2's column matrix); past that, glibc hands the heap back to
+    the kernel after each chunk and the next one faults it in again. A clip's
+    features do not depend on its chunk; only under 16 frames, where the head
+    conv's per-clip GEMM has 16 pixel columns and OpenBLAS sums a GEMM of
+    fewer than 32 in another order, may they move in the last bit.
     """
     x = _as_batch(x)
     step = max(1, _CHUNK_PIXELS // (x.shape[2] * x.shape[3]))
     # An empty batch still runs once, so it yields (0, d) feature matrices.
     starts = range(0, x.shape[0] or 1, step)
-    pairs = [_forward(params, x[i : i + step])[0] for i in starts]
+    pairs = [_forward(params, x[i : i + step]) for i in starts]
     return FeaturePair(
         feat_low=np.concatenate([p.feat_low for p in pairs]),
         feat_high=np.concatenate([p.feat_high for p in pairs]),
     )
-
-
-def classify(params: ModelParams, features: FeaturePair) -> tuple[np.ndarray, np.ndarray]:
-    """Linear logits for both heads; no softmax applied."""
-    t = params.tensors
-    logits_id, _ = nn.linear(features.feat_low, t["cls_id.w"], t["cls_id.b"])
-    logits_ag, _ = nn.linear(features.feat_high, t["cls_ag.w"], t["cls_ag.b"])
-    return logits_id, logits_ag
 
 
 def loss(
@@ -227,7 +214,8 @@ def loss_and_grads(
         raise ModelError(f"id_loss_weight must be in [0, 1], got {id_loss_weight}")
     x = _as_batch(x)
     t = params.tensors
-    features, cache = _forward(params, x)
+    cache: dict = {}
+    features = _forward(params, x, cache)
 
     logits_id, c_lin_id = nn.linear(features.feat_low, t["cls_id.w"], t["cls_id.b"])
     logits_ag, c_lin_ag = nn.linear(features.feat_high, t["cls_ag.w"], t["cls_ag.b"])
@@ -247,7 +235,7 @@ def loss_and_grads(
         (1.0 - id_loss_weight) * dlogits_ag, c_lin_ag
     )
 
-    c_hconv, c_hscale, c_hrelu = cache["head"]
+    c_hconv, c_hscale, c_hrelu, _ = cache["head"]
     dh = nn.global_avg_pool_backward(dfeat_high, cache["gap_high"])
     dh = nn.relu_backward(dh, c_hrelu)
     dh, grads["head.g"] = nn.channel_scale_backward(dh, c_hscale)
@@ -255,7 +243,7 @@ def loss_and_grads(
 
     dmap = dmap_head + nn.global_avg_pool_backward(dfeat_low, cache["gap_low"])
     for i in range(len(params.config.channels), 0, -1):
-        c_conv, c_scale, c_relu, c_pool = cache["blocks"][i - 1]
+        c_conv, c_scale, c_relu, c_pool = cache[f"conv{i}"]
         dmap = nn.avg_pool2_backward(dmap, c_pool)
         dmap = nn.relu_backward(dmap, c_relu)
         dmap, grads[f"conv{i}.g"] = nn.channel_scale_backward(dmap, c_scale)

@@ -6,52 +6,64 @@ A backward may return None for an input gradient its caller does not need
 (``conv2d_backward(..., need_dx=False)``, used for the first conv, whose input
 is the log-Mel batch). Kept deliberately small so every gradient can be
 finite-difference checked.
+
+The 3x3 convolution has one formulation. ``_cols`` lays a channel-major batch
+out as a (9C, B*H*W) column matrix, and the output, the weight gradient and the
+input gradient are each one GEMM against such a matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_WIN = np.lib.stride_tricks.sliding_window_view
+
+def _cols(x_cm: np.ndarray) -> np.ndarray:
+    """Column matrix of a 3x3 same-padded conv: (C, B, H, W) -> (9C, B*H*W).
+
+    Rows run in the (C, 3, 3) order of a weight's trailing axes: row
+    9c + 3i + j is channel c shifted by tap (i, j), zero past the border.
+    """
+    C, B, H, W = x_cm.shape
+    padded = np.pad(x_cm, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((C, 3, 3, B, H, W), dtype=x_cm.dtype)
+    for i, j in np.ndindex(3, 3):
+        cols[:, i, j] = padded[:, :, i : i + H, j : j + W]
+    return cols.reshape(9 * C, B * H * W)
+
+
+def _conv_cm(x_cm: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The one conv GEMM: channel-major (C, B, H, W) in, (O, B, H, W) out."""
+    O = w.shape[0]
+    _, B, H, W = x_cm.shape
+    return (w.reshape(O, -1) @ _cols(x_cm)).reshape(O, B, H, W)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """3x3 stride-1 convolution with same padding.
 
-    x: (B, C, H, W), w: (O, C, 3, 3), b: (O,) -> out (B, O, H, W).
+    x: (B, C, H, W), w: (O, C, 3, 3), b: (O,) -> out (B, O, H, W), a view of
+    channel-major memory.
     """
-    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = _WIN(padded, (3, 3), axis=(2, 3))
-    out = np.einsum("bchwij,ocij->bohw", windows, w, optimize=True)
-    out += b[None, :, None, None]
-    return out, (x, w)
+    out = _conv_cm(x.transpose(1, 0, 2, 3), w)
+    out += b[:, None, None, None]
+    return out.transpose(1, 0, 2, 3), (x, w)
 
 
 def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
     """Returns (dx, dw, db); dx is None when ``need_dx`` is false.
 
-    dw is one GEMM per tap, dout (O, B*H*W) @ shifted input (C, B*H*W).T,
-    which never materialises the 9x window copy of the input.
+    dw = dout (O, B*H*W) @ cols(x).T. dx is the forward GEMM run on dout with
+    the kernel flipped and its channel axes swapped.
     """
     x, w = cache
     B, O, H, W = dout.shape
-    C = x.shape[1]
-    # Channel-major operands: each tap is then a (C, B*H*W) reshape of a slice.
-    dout_cm = dout.transpose(1, 0, 2, 3).reshape(O, B * H * W)
-    padded_cm = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
-    dw = np.empty_like(w)
-    for i in range(3):
-        for j in range(3):
-            tap = padded_cm[:, :, i : i + H, j : j + W].reshape(C, B * H * W)
-            dw[:, :, i, j] = dout_cm @ tap.T
+    dout_cm = dout.transpose(1, 0, 2, 3)
+    dw = (dout_cm.reshape(O, B * H * W) @ _cols(x.transpose(1, 0, 2, 3)).T).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
     if not need_dx:
         return None, dw, db
-    dout_padded = np.pad(dout, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    dout_windows = _WIN(dout_padded, (3, 3), axis=(2, 3))
-    flipped = w[:, :, ::-1, ::-1]
-    dx = np.einsum("bohwij,ocij->bchw", dout_windows, flipped, optimize=True)
-    return dx, dw, db
+    dx = _conv_cm(dout_cm, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return dx.transpose(1, 0, 2, 3), dw, db
 
 
 def channel_scale(x: np.ndarray, gain: np.ndarray):
@@ -120,12 +132,6 @@ def linear_backward(dout: np.ndarray, cache):
     dw = dout.T @ x
     db = dout.sum(axis=0)
     return dx, dw, db
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

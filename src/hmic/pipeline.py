@@ -43,7 +43,9 @@ class ConfigMismatchError(PipelineError):
 def _cache_dir(workdir: Path, config: RunConfig) -> Path:
     root = os.environ.get("HMIC_CACHE_DIR")
     base = Path(root) if root else workdir / "feature_cache"
-    return base / config_digest(to_dict(config.dsp))[:12]
+    # standardize acts after the cache (_model_input), so it is not in the key.
+    front_end = {k: v for k, v in to_dict(config.dsp).items() if k != "standardize"}
+    return base / config_digest(front_end)[:12]
 
 
 def extract_features(
@@ -89,11 +91,14 @@ def _model_input(features: np.ndarray, config: RunConfig) -> np.ndarray:
 
 
 def _stack_inputs(entries, features, config) -> np.ndarray:
-    matrices = [_model_input(features[e.meta.clip_id], config) for e in entries]
-    shapes = {m.shape for m in matrices}
+    """(N, 1, H, W) model inputs; each clip's float64 copy dies once stacked."""
+    shapes = {features[e.meta.clip_id].shape for e in entries}
     if len(shapes) != 1:
         raise PipelineError(f"clips disagree on feature shape: {sorted(shapes)}")
-    return np.stack(matrices)[:, None]
+    stack = np.empty((len(entries), 1, *shapes.pop()))
+    for i, e in enumerate(entries):
+        stack[i, 0] = _model_input(features[e.meta.clip_id], config)
+    return stack
 
 
 def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | Path,

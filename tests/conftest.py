@@ -56,11 +56,21 @@ def make_tiny_config(seed=7):
     )
 
 
+def _snapshot(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus(tmp_path_factory):
+    """A corpus shared by every module; tests must write elsewhere, which the
+    teardown checks."""
     root = tmp_path_factory.mktemp("tiny_corpus")
     manifest = generate(make_tiny_spec(), root)
-    return root, manifest
+    written = _snapshot(root)
+    yield root, manifest
+    changed = {path for path, _ in set(written.items()) ^ set(_snapshot(root).items())}
+    assert not changed, f"tests changed the shared corpus: {sorted(changed)}"
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,11 @@ def trained(tmp_path_factory, tiny_corpus, tiny_config_path):
     return corpus_root, manifest, checkpoint, workdir
 
 
+def _absolute_paths(entries, corpus_root):
+    """Entries whose clips resolve from a manifest written outside the corpus."""
+    return [replace(e, path=str(corpus_root / e.path)) for e in entries]
+
+
 @pytest.fixture()
 def log_mel_calls(monkeypatch):
     """A list that gains one item per ``dsp.log_mel`` call, i.e. per cache miss."""
@@ -129,18 +134,16 @@ class TestScore:
     def test_unknown_section_writes_error_row_and_fails(self, trained, tmp_path,
                                                         tiny_config_path):
         corpus_root, manifest, checkpoint, _ = trained
-        entries = read_manifest(manifest)
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
         broken = []
         victim = None
-        from dataclasses import replace
-
         for entry in entries:
             if victim is None and entry.meta.split == "test":
                 victim = replace(entry, meta=replace(entry.meta, section_id=9))
                 broken.append(victim)
             else:
                 broken.append(entry)
-        bad_manifest = corpus_root / "manifest_bad.csv"
+        bad_manifest = tmp_path / "manifest_bad.csv"
         write_manifest(broken, bad_manifest)
         out = tmp_path / "scores.csv"
         code = run_cli(
@@ -159,16 +162,14 @@ class TestScore:
         # score the training clips themselves: they must sit far below the
         # anomalous test clips (run-derived percentile check)
         corpus_root, manifest, checkpoint, _ = trained
-        entries = read_manifest(manifest)
-        from dataclasses import replace
-
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
         as_test = [
             replace(e, meta=replace(e.meta, split="test"))
             if e.meta.split == "train"
             else e
             for e in entries
         ]
-        all_test = corpus_root / "manifest_alltest.csv"
+        all_test = tmp_path / "manifest_alltest.csv"
         write_manifest(as_test, all_test)
         out = tmp_path / "scores.csv"
         assert run_cli(
@@ -359,6 +360,7 @@ class TestFeatureCacheKey:
             base.with_overrides(seed=8),
             base.with_overrides(ablation="domain_only"),
             replace(base, model=replace(base.model, id_loss_weight=0.25)),
+            replace(base, dsp=replace(base.dsp, standardize=not base.dsp.standardize)),
         )
         log_mel_calls.clear()
         for i, config in enumerate(variants):

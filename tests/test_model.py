@@ -12,7 +12,6 @@ from hmic.model import (
     FeaturePair,
     ModelConfig,
     ModelError,
-    classify,
     effective_id_weight,
     forward_features,
     init_params,
@@ -90,13 +89,22 @@ def avg_pool2_backward_repeat(dout, H, W):
 POOL_SHAPES = [(2, 3, 8, 6), (2, 3, 7, 5), (3, 2, 9, 10), (32, 8, 128, 63), (1, 1, 2, 4)]
 
 
+# (B, C, O, H, W): one input channel, whose weight gradient is a GEMM over nine
+# column rows; an empty batch; and images narrower than the kernel.
+CONV_SHAPES = [(2, 3, 5, 4, 4), (2, 3, 4, 7, 6), (2, 1, 4, 7, 6), (0, 3, 4, 7, 6), (1, 2, 3, 1, 2)]
+CONV_IDS = ["B{}-C{}-O{}-{}x{}".format(*shape) for shape in CONV_SHAPES]
+
+
 class TestPrimitives:
-    def test_conv_matches_loop_oracle_on_4x4(self):
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=CONV_IDS)
+    def test_conv_matches_loop_oracle(self, shape):
+        B, C, O, H, W = shape
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 3, 4, 4))
-        w = rng.normal(size=(5, 3, 3, 3))
-        b = rng.normal(size=5)
+        x = rng.normal(size=(B, C, H, W))
+        w = rng.normal(size=(O, C, 3, 3))
+        b = rng.normal(size=O)
         out, _ = nn.conv2d(x, w, b)
+        assert out.shape == (B, O, H, W)
         np.testing.assert_allclose(out, conv2d_oracle(x, w, b), rtol=1e-12, atol=1e-12)
 
     def test_avg_pool_drops_odd_tail(self):
@@ -105,12 +113,15 @@ class TestPrimitives:
         assert out.shape == (2, 1, 2, 3)
         assert out[0, 0, 0, 0] == np.mean([x[0, 0, 0, 0], x[0, 0, 0, 1], x[0, 0, 1, 0], x[0, 0, 1, 1]])
 
-    def test_conv_backward_matches_loop_oracle(self):
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=CONV_IDS)
+    def test_conv_backward_matches_loop_oracle(self, shape):
+        B, C, O, H, W = shape
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(2, 3, 7, 6))
-        w = rng.normal(size=(4, 3, 3, 3))
-        dout = rng.normal(size=(2, 4, 7, 6))
+        x = rng.normal(size=(B, C, H, W))
+        w = rng.normal(size=(O, C, 3, 3))
+        dout = rng.normal(size=(B, O, H, W))
         dx, dw, db = nn.conv2d_backward(dout, (x, w))
+        assert dx.shape == x.shape and dw.shape == w.shape
         dx_ref, dw_ref, db_ref = conv2d_backward_oracle(dout, x, w)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dw, dw_ref, rtol=1e-12, atol=1e-12)
@@ -132,7 +143,7 @@ class TestPrimitives:
     def test_avg_pool_is_bitwise_the_reshape_mean(self, shape, layout):
         rng = np.random.default_rng(13)
         x = rng.normal(size=shape)
-        if layout == "conv_output":  # channel-major memory, as the conv einsum returns
+        if layout == "conv_output":  # channel-major memory, as the conv GEMM returns
             x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         elif layout == "reversed_rows":
             x = x[:, :, ::-1]
@@ -157,8 +168,11 @@ class TestPrimitives:
         )
     )
     def test_softmax_rows_sum_to_one(self, logits):
-        probs = nn.softmax(logits)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # B * dlogits is softmax minus the one-hot labels, so each row sums to 0.
+        labels = np.arange(logits.shape[0]) % logits.shape[1]
+        _, dlogits = nn.softmax_cross_entropy(logits, labels)
+        rows = (logits.shape[0] * dlogits).sum(axis=1)
+        np.testing.assert_allclose(rows, 0.0, rtol=0, atol=1e-12)
 
     def test_cross_entropy_is_nonnegative_and_label_checked(self):
         logits = np.array([[0.3, -0.2, 1.0]])
@@ -220,9 +234,9 @@ class TestForwardFeatures:
         rng = np.random.default_rng(seed)
         params = init_params(ModelConfig(), 3, 4, rng)
         x = rng.normal(size=(n_clips, 1, 128, n_frames))
-        # Under 16 frames one clip's head conv is a GEMM of 16 rows, and
-        # OpenBLAS sums GEMMs of fewer than 32 rows in another order, so
-        # there a clip's features move by rounding with its chunk.
+        # Under 16 frames one clip's head conv is a GEMM with 16 pixel
+        # columns, and OpenBLAS sums GEMMs of fewer than 32 in another order,
+        # so there a clip's features move by rounding with its chunk.
         self._assert_stack_equals_per_clip(params, x, exact=n_frames >= 16)
 
     def test_features_do_not_depend_on_the_chunking_at_dcase_size(self):
@@ -247,7 +261,7 @@ class TestForwardFeatures:
         assert pair.feat_low.shape == (0, 4) and pair.feat_high.shape == (0, 4)
 
     def test_inference_memory_stays_bounded(self):
-        # 32 clips at 128x313 peak near 23 MB in chunks of two clips; as one
+        # 32 clips at 128x313 peak near 16 MB in chunks of two clips; as one
         # 32-clip batch they peaked at about 360 MB.
         rng = np.random.default_rng(10)
         params = init_params(ModelConfig(), 6, 12, rng)
@@ -261,13 +275,21 @@ class TestForwardFeatures:
         assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
 
 
+def head_logits(params, pair):
+    """Both heads' logits, as loss_and_grads computes them."""
+    t = params.tensors
+    logits_id, _ = nn.linear(pair.feat_low, t["cls_id.w"], t["cls_id.b"])
+    logits_ag, _ = nn.linear(pair.feat_high, t["cls_ag.w"], t["cls_ag.b"])
+    return logits_id, logits_ag
+
+
 class TestClassify:
     def test_zero_features_zero_bias_give_zero_logits(self):
         params = micro_params()
         params.tensors["cls_id.b"][...] = 0.0
         params.tensors["cls_ag.b"][...] = 0.0
         pair = FeaturePair(feat_low=np.zeros((2, 4)), feat_high=np.zeros((2, 4)))
-        logits_id, logits_ag = classify(params, pair)
+        logits_id, logits_ag = head_logits(params, pair)
         assert np.all(logits_id == 0.0)
         assert np.all(logits_ag == 0.0)
 
@@ -276,14 +298,14 @@ class TestClassify:
         params.tensors["cls_id.w"][...] = np.eye(4)
         params.tensors["cls_id.b"][...] = 0.0
         feat = np.array([[0.5, -1.0, 2.0, 0.0]])
-        logits_id, _ = classify(params, FeaturePair(feat_low=feat, feat_high=feat))
+        logits_id, _ = head_logits(params, FeaturePair(feat_low=feat, feat_high=feat))
         np.testing.assert_array_equal(logits_id, feat)
 
     def test_matches_loop_matmul_oracle(self):
         rng = np.random.default_rng(3)
         params = micro_params()
         pair = FeaturePair(feat_low=rng.normal(size=(3, 4)), feat_high=rng.normal(size=(3, 4)))
-        logits_id, logits_ag = classify(params, pair)
+        logits_id, logits_ag = head_logits(params, pair)
         w, b = params.tensors["cls_id.w"], params.tensors["cls_id.b"]
         expected = np.empty((3, 2))
         for n in range(3):
@@ -383,8 +405,8 @@ class TestBackward:
         assert sorted(calls) == [(1, False), (2, True), (3, True), (4, True)]
 
     def test_training_step_memory_stays_bounded(self):
-        # One default-size step peaks near 160 MB; the 9x window copies of the
-        # weight gradient, or conv1's input gradient, took it to about 230 MB.
+        # One default-size step peaks near 141 MB; copying the 9x input windows
+        # for the weight gradient, or conv1's input gradient, took it to 230 MB.
         rng = np.random.default_rng(9)
         params = init_params(ModelConfig(), 6, 12, rng)
         x = rng.normal(size=(32, 1, 128, 63))
