@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import types
 import typing
@@ -135,17 +136,28 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, str]
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     digest = bytes(take(32)).hex()
     (config_len,) = struct.unpack("<Q", take(8))
-    config = json.loads(bytes(take(config_len)).decode("utf-8"))
+    config = _decoded(take(config_len), path, "config", json.loads)
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = _decoded(take(name_len), path, "tensor name")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
-        size = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
-        tensors[name] = data
+        size = math.prod(dims)  # exact: np.prod of u64 dims can wrap
+        payload = np.frombuffer(take(8 * size), dtype="<f8")
+        try:
+            tensors[name] = payload.reshape(dims).copy()
+        except ValueError:  # a zero dim beside one past numpy's index range
+            raise CheckpointError(f"{path}: tensor {name!r} has impossible dims {dims}") from None
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
     return tensors, config, digest
+
+
+def _decoded(chunk: memoryview, path: Path, what: str, parse=str):
+    """``parse`` of the chunk's UTF-8 text; bad bytes raise CheckpointError."""
+    try:
+        return parse(bytes(chunk).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise CheckpointError(f"{path}: corrupt {what} ({exc})") from None

@@ -223,14 +223,18 @@ def save_features(path: str | Path, values: np.ndarray) -> None:
         raise DspError(f"feature matrix must be 2-D, got shape {values.shape}")
     data = values.astype("<f4")
     header = FEATURE_MAGIC + struct.pack("<II", data.shape[0], data.shape[1])
-    # Write a sibling temp file, named per process and thread, and rename it
-    # over the entry: no reader sees, and no crash leaves, a half-written one.
-    path = Path(path)
+    _write_entry(Path(path), header, data.tobytes())
+
+
+def _write_entry(path: Path, *parts: bytes) -> None:
+    """Write a cache entry: a sibling temp file, named per process and thread,
+    renamed over the entry, so no reader sees, and no crash leaves, a
+    half-written one."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with tmp.open("wb") as handle:
-            handle.write(header)
-            handle.write(data.tobytes())
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

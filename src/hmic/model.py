@@ -181,6 +181,14 @@ def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     )
 
 
+def _mixed(loss_id: float, loss_ag: float, id_loss_weight: float) -> LossBreakdown:
+    """The one place the two losses combine: ``w * id + (1 - w) * ag``."""
+    if not 0.0 <= id_loss_weight <= 1.0:
+        raise ModelError(f"id_loss_weight must be in [0, 1], got {id_loss_weight}")
+    total = id_loss_weight * loss_id + (1.0 - id_loss_weight) * loss_ag
+    return LossBreakdown(loss_id=loss_id, loss_ag=loss_ag, loss_total=total)
+
+
 def loss(
     logits_id: np.ndarray,
     logits_ag: np.ndarray,
@@ -189,12 +197,9 @@ def loss(
     id_loss_weight: float,
 ) -> LossBreakdown:
     """Weighted sum of the two cross-entropy losses."""
-    if not 0.0 <= id_loss_weight <= 1.0:
-        raise ModelError(f"id_loss_weight must be in [0, 1], got {id_loss_weight}")
     loss_id, _ = nn.softmax_cross_entropy(logits_id, labels_id)
     loss_ag, _ = nn.softmax_cross_entropy(logits_ag, labels_ag)
-    total = id_loss_weight * loss_id + (1.0 - id_loss_weight) * loss_ag
-    return LossBreakdown(loss_id=loss_id, loss_ag=loss_ag, loss_total=total)
+    return _mixed(loss_id, loss_ag, id_loss_weight)
 
 
 def loss_and_grads(
@@ -210,8 +215,6 @@ def loss_and_grads(
     tensor. Both losses backpropagate through the shared backbone; an endpoint
     weight of 0 or 1 zeroes the other path's gradient exactly.
     """
-    if not 0.0 <= id_loss_weight <= 1.0:
-        raise ModelError(f"id_loss_weight must be in [0, 1], got {id_loss_weight}")
     x = _as_batch(x)
     t = params.tensors
     cache: dict = {}
@@ -221,11 +224,7 @@ def loss_and_grads(
     logits_ag, c_lin_ag = nn.linear(features.feat_high, t["cls_ag.w"], t["cls_ag.b"])
     loss_id, dlogits_id = nn.softmax_cross_entropy(logits_id, labels_id)
     loss_ag, dlogits_ag = nn.softmax_cross_entropy(logits_ag, labels_ag)
-    breakdown = LossBreakdown(
-        loss_id=loss_id,
-        loss_ag=loss_ag,
-        loss_total=id_loss_weight * loss_id + (1.0 - id_loss_weight) * loss_ag,
-    )
+    breakdown = _mixed(loss_id, loss_ag, id_loss_weight)
 
     grads: dict[str, np.ndarray] = {}
     dfeat_low, grads["cls_id.w"], grads["cls_id.b"] = nn.linear_backward(

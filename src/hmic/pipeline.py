@@ -7,6 +7,14 @@ cached and fresh runs produce bit-identical results). A cache entry is keyed by
 what a log-Mel depends on, the front-end config and the WAV's bytes, so runs
 that differ only in model, training or ablation settings share extraction, and
 corpora that reuse clip IDs never share entries.
+
+Scoring caches each test clip's embedding (``feat_high``) next to its log-Mel,
+keyed by the WAV's sha256 and by what the forward adds to the log-Mel: the
+machine's parameter tensors (names, shapes, bytes) and ``standardize``. So the
+agc and dc scoring of one checkpoint run the forward once per clip, and a hit
+returns the exact float64 bytes the miss computed. Neither key covers the
+code: an edit to the front end or to the model needs an empty cache, as the
+log-Mel key never covered the DSP code either.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .model import ModelConfig, ModelParams, forward_features
 from .training import train, write_training_log
 
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
+EMBEDDING_MAGIC = b"HMICEMB1"
 
 
 class PipelineError(HmicError, RuntimeError):
@@ -53,34 +62,39 @@ def extract_features(
     corpus_root: Path,
     config: RunConfig,
     workdir: Path,
+    wav_digests: dict[str, str] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Log-Mel matrices (float32, cache precision) keyed by clip_id."""
+    """Log-Mel matrices (float32, cache precision) keyed by clip_id; each
+    clip's WAV sha256 goes into ``wav_digests`` when it is given."""
     cache_dir = _cache_dir(workdir, config)
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(entry: ManifestEntry) -> tuple[str, np.ndarray]:
+    def one(entry: ManifestEntry) -> tuple[str, str, np.ndarray]:
         path = corpus_root / entry.path
         try:
             data = path.read_bytes()
         except OSError as exc:
             raise dsp.DspError(f"{path}: cannot read clip ({exc.strerror or exc})") from None
-        cached = cache_dir / (hashlib.sha256(data).hexdigest() + ".feat")
+        digest = hashlib.sha256(data).hexdigest()
+        cached = cache_dir / (digest + ".feat")
         if cached.exists():
             try:
-                return entry.meta.clip_id, dsp.load_features(cached)
+                return entry.meta.clip_id, digest, dsp.load_features(cached)
             except dsp.DspError:
                 pass  # a corrupt entry is a miss: re-extract and rewrite it
         wave = dsp.read_wav_mono(data, name=path)
         values = dsp.log_mel(wave, config.dsp).values.astype(np.float32)
         dsp.save_features(cached, values)
-        return entry.meta.clip_id, values
+        return entry.meta.clip_id, digest, values
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            pairs = list(pool.map(one, entries))
+            triples = list(pool.map(one, entries))
     else:
-        pairs = [one(entry) for entry in entries]
-    return dict(pairs)
+        triples = [one(entry) for entry in entries]
+    if wav_digests is not None:
+        wav_digests.update((clip_id, digest) for clip_id, digest, _ in triples)
+    return {clip_id: values for clip_id, _, values in triples}
 
 
 def _model_input(features: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -99,6 +113,50 @@ def _stack_inputs(entries, features, config) -> np.ndarray:
     for i, e in enumerate(entries):
         stack[i, 0] = _model_input(features[e.meta.clip_id], config)
     return stack
+
+
+def _forward_key(params: ModelParams, config: RunConfig) -> str:
+    """Digest of what a clip's embedding depends on beyond its log-Mel."""
+    h = hashlib.sha256(repr(("standardize", config.dsp.standardize)).encode())
+    for name in sorted(params.tensors):
+        value = np.ascontiguousarray(params.tensors[name], dtype="<f8")
+        h.update(repr((name, value.shape)).encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def _embeddings(params, entries, features, wav_digests, cache_dir, config) -> np.ndarray:
+    """(N, d_h) ``feat_high`` rows. One cache file per forward key holds a row
+    per WAV sha256; only the clips without a row run the forward, and then the
+    file is rewritten with the old rows and the new. One file, not one per
+    clip, because creating a file takes about 0.5 ms on a 2-core VM, a quarter
+    of a 128x63 clip's forward. A truncated or garbage file counts as empty.
+    When two processes add rows at once, the last rename wins and the other's
+    rows are misses next time."""
+    path = cache_dir / f"{_forward_key(params, config)}.emb"
+    rows = _read_embeddings(path, params.config.feat_high_dim)
+    missed = [e for e in entries if wav_digests[e.meta.clip_id] not in rows]
+    if missed:
+        computed = forward_features(params, _stack_inputs(missed, features, config)).feat_high
+        rows.update(zip((wav_digests[e.meta.clip_id] for e in missed), computed))
+        dsp._write_entry(path, EMBEDDING_MAGIC, *(
+            bytes.fromhex(digest) + row.astype("<f8").tobytes() for digest, row in rows.items()))
+    return np.array([rows[wav_digests[e.meta.clip_id]] for e in entries])
+
+
+def _read_embeddings(path: Path, dim: int) -> dict[str, np.ndarray]:
+    """WAV sha256 -> embedding row of the cache file at ``path``; empty when
+    the file is absent, truncated or garbage."""
+    try:
+        raw = memoryview(path.read_bytes())
+    except FileNotFoundError:
+        return {}
+    size = 32 + 8 * dim  # raw sha256, then the row's float64s
+    body = raw[len(EMBEDDING_MAGIC):]
+    if raw[:len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC or len(body) % size:
+        return {}
+    return {bytes(body[i:i + 32]).hex(): np.frombuffer(body[i + 32:i + size], dtype="<f8")
+            for i in range(0, len(body), size)}
 
 
 def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | Path,
@@ -223,7 +281,9 @@ def run_score(
     if not test_entries:
         raise PipelineError("manifest contains no test clips")
     corpus_root = manifest_path.parent
-    features = extract_features(test_entries, corpus_root, config, workdir)
+    wav_digests: dict[str, str] = {}
+    features = extract_features(test_entries, corpus_root, config, workdir, wav_digests)
+    cache_dir = _cache_dir(workdir, config)
 
     models: dict[str, scoring.CentreModel] = {}
     params: dict[str, ModelParams] = {}
@@ -243,13 +303,12 @@ def run_score(
         if machine not in models:
             errors.extend(f"{e.meta.clip_id}: unknown machine type {machine!r}" for e in own)
             continue
-        inputs = _stack_inputs(own, features, config)
-        embeddings = forward_features(params[machine], inputs)
+        feat_high = _embeddings(params[machine], own, features, wav_digests, cache_dir, config)
         score_fn = scoring.score_agc if config.scoring_mode == "agc" else scoring.score_dc
         for i, entry in enumerate(own):
             try:
                 record = score_fn(
-                    embeddings.feat_high[i],
+                    feat_high[i],
                     models[machine],
                     entry.meta.section_id,
                     entry.meta.clip_id,

@@ -94,6 +94,31 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_byte_flip_outside_the_payload_loads_or_raises(self, data, tmp_path_factory):
+        tensors = {"b/param/w": np.ones((2, 3)), "a/one": np.array([0.5]), "c": np.arange(4.0)}
+        config = {"machines": ["b"], "note": "flip"}
+        path = tmp_path_factory.mktemp("flip") / "model.hmic"
+        save_checkpoint(path, tensors, config, config_digest(config))
+        raw = bytearray(path.read_bytes())
+        # The layout in the module docstring, walked independently of the loader.
+        offset = 8 + 4 + 32 + 8 + len(json.dumps(config, sort_keys=True).encode()) + 4
+        payload = set()
+        for name in sorted(tensors):
+            value = tensors[name]
+            offset += 4 + len(name.encode()) + 4 + 8 * value.ndim
+            payload.update(range(offset, offset + 8 * value.size))
+            offset += 8 * value.size
+        assert offset == len(raw)
+        position = data.draw(st.sampled_from(sorted(set(range(len(raw))) - payload)))
+        raw[position] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
     def test_digest_is_canonical(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
         assert config_digest({"a": 1}) != config_digest({"a": 2})

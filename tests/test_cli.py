@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hmic import dsp
+from hmic import dsp, pipeline
+from hmic.checkpoint import load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
 from hmic.datagen import generate
 from hmic.metadata import read_manifest, write_manifest
@@ -379,6 +380,127 @@ class TestFeatureCacheKey:
         assert {f.shape[0] for f in features.values()} == {64}
 
 
+@pytest.fixture()
+def forward_clips(monkeypatch):
+    """A list that gains each ``pipeline.forward_features`` call's clip count."""
+    calls = []
+    real = pipeline.forward_features
+
+    def counting(params, x):
+        calls.append(len(x))
+        return real(params, x)
+
+    monkeypatch.setattr(pipeline, "forward_features", counting)
+    return calls
+
+
+def _score(config, checkpoint, manifest, workdir, mode="agc"):
+    """Score bytes of one run_score into ``workdir``, whose cache it uses."""
+    out = workdir / f"scores_{mode}.csv"
+    outcome = pipeline.run_score(config.with_overrides(scoring_mode=mode), checkpoint,
+                                 manifest, out, workdir)
+    assert not outcome.errors
+    return out.read_bytes()
+
+
+class TestEmbeddingCache:
+    """Scoring caches each clip's embedding, keyed by its WAV and what the
+    forward adds: the machine's parameters and ``standardize``."""
+
+    @pytest.mark.parametrize("first,second", [("agc", "dc"), ("dc", "agc")])
+    def test_second_mode_matches_an_empty_cache(self, trained, tmp_path, first, second):
+        _, manifest, checkpoint, _ = trained
+        config = make_tiny_config()
+        shared = tmp_path / "shared"
+        _score(config, checkpoint, manifest, shared, first)
+        assert list((shared / "feature_cache").rglob("*.emb"))
+        assert _score(config, checkpoint, manifest, shared, second) == _score(
+            config, checkpoint, manifest, tmp_path / "fresh", second)
+
+    def test_second_score_runs_no_forward_but_loads_every_feature(
+            self, trained, tmp_path, monkeypatch, forward_clips):
+        _, manifest, checkpoint, _ = trained
+        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
+        config = make_tiny_config()
+        _score(config, checkpoint, manifest, tmp_path, "agc")
+        assert sum(forward_clips) == n_test
+        loads = []
+        real = dsp.load_features
+        monkeypatch.setattr(dsp, "load_features", lambda path: loads.append(1) or real(path))
+        forward_clips.clear()
+        _score(config, checkpoint, manifest, tmp_path, "dc")
+        assert forward_clips == []
+        assert len(loads) == n_test  # features still load eagerly on a full hit
+
+    def test_checkpoints_of_other_seeds_share_a_cache_dir(self, trained, tmp_path,
+                                                          monkeypatch):
+        corpus_root, manifest, checkpoint, _ = trained
+        base = make_tiny_config()
+        other = base.with_overrides(seed=8)
+        other_checkpoint = tmp_path / "seed8.hmic"
+        run_train(other, corpus_root, other_checkpoint, tmp_path / "train8")
+        runs = ((base, checkpoint), (other, other_checkpoint))
+        alone = []
+        for i, (config, path) in enumerate(runs):
+            monkeypatch.setenv("HMIC_CACHE_DIR", str(tmp_path / f"own_cache{i}"))
+            alone.append(_score(config, path, manifest, tmp_path / f"own{i}"))
+        monkeypatch.setenv("HMIC_CACHE_DIR", str(tmp_path / "shared_cache"))
+        shared = [_score(config, path, manifest, tmp_path / f"shared{i}")
+                  for i, (config, path) in enumerate(runs)]
+        assert shared == alone and alone[0] != alone[1]
+        assert len(list((tmp_path / "shared_cache").rglob("*.emb"))) == 2  # one per checkpoint
+
+    def test_toggling_standardize_misses(self, trained, tmp_path, forward_clips):
+        _, manifest, checkpoint, _ = trained
+        config = make_tiny_config()
+        # The same tensors under a config without standardize: only the key's
+        # standardize part tells the two checkpoints' embeddings apart.
+        raw = replace(config, dsp=replace(config.dsp, standardize=False))
+        tensors, block, _ = load_checkpoint(checkpoint)
+        block.update(run=to_dict(raw), semantic=raw.semantic_dict())
+        raw_checkpoint = tmp_path / "raw.hmic"
+        save_checkpoint(raw_checkpoint, tensors, block, raw.semantic_digest())
+        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
+
+        shared = tmp_path / "shared"
+        standardized = _score(config, checkpoint, manifest, shared)
+        forward_clips.clear()
+        assert _score(raw, raw_checkpoint, manifest, shared) == _score(
+            raw, raw_checkpoint, manifest, tmp_path / "fresh")
+        assert forward_clips == [n_test, n_test]  # a miss in shared, then in fresh
+        assert _score(raw, raw_checkpoint, manifest, shared) != standardized
+
+    def test_only_clips_without_a_row_run_the_forward(self, trained, tmp_path,
+                                                      forward_clips):
+        corpus_root, manifest, checkpoint, _ = trained
+        config = make_tiny_config()
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
+        test = [e for e in entries if e.meta.split == "test"]
+        half = tmp_path / "half" / "manifest.csv"
+        half.parent.mkdir()
+        write_manifest([e for e in entries if e not in test[::2]], half)
+        _score(config, checkpoint, half, tmp_path / "shared")
+        forward_clips.clear()
+        assert _score(config, checkpoint, manifest, tmp_path / "shared") == _score(
+            config, checkpoint, manifest, tmp_path / "fresh")
+        assert forward_clips == [len(test[::2]), len(test)]  # shared, then fresh
+
+    @pytest.mark.parametrize("fault", ["truncated", "garbage"])
+    def test_corrupt_entry_is_recomputed_and_rewritten(self, trained, tmp_path, fault,
+                                                       forward_clips):
+        _, manifest, checkpoint, _ = trained
+        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
+        config = make_tiny_config()
+        clean = _score(config, checkpoint, manifest, tmp_path)
+        (entry,) = (tmp_path / "feature_cache").rglob("*.emb")
+        intact = entry.read_bytes()
+        entry.write_bytes(intact[:-8] if fault == "truncated" else b"NOTANEMB" + intact[8:])
+        forward_clips.clear()
+        assert _score(config, checkpoint, manifest, tmp_path) == clean
+        assert forward_clips == [n_test]  # a corrupt file holds no rows
+        assert entry.read_bytes() == intact
+
+
 class TestCorpusReadErrors:
     @pytest.fixture()
     def corpus_copy(self, tiny_corpus, tmp_path):
@@ -484,6 +606,21 @@ class TestErrors:
                     found.append(value)
                     assert name.endswith("Error") and issubclass(value, HmicError), name
         assert len(found) >= 15  # HmicError and the 14 errors built on it
+
+    def test_undecodable_checkpoint_config_is_one_line_error(self, trained, tmp_path,
+                                                             tiny_config_path, capsys):
+        _, manifest, checkpoint, _ = trained
+        raw = bytearray(checkpoint.read_bytes())
+        raw[60] = 0xFF  # inside the embedded config JSON; never valid UTF-8
+        broken = tmp_path / "broken.hmic"
+        broken.write_bytes(bytes(raw))
+        code = run_cli(
+            "score", "--checkpoint", broken, "--manifest", manifest,
+            "--out", tmp_path / "scores.csv", "--config", tiny_config_path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "corrupt config" in err
 
     def test_corrupt_checkpoint_is_one_line_error(self, tiny_corpus, tmp_path, capsys):
         _, manifest = tiny_corpus

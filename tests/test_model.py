@@ -366,6 +366,27 @@ class TestLoss:
     def test_weight_out_of_range_rejected(self):
         with pytest.raises(ModelError):
             loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0]), np.array([0]), 1.2)
+        x = np.zeros((1, 1, 8, 8))
+        with pytest.raises(ModelError):
+            loss_and_grads(micro_params(), x, np.array([0]), np.array([0]), -0.1)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_loss_and_grads_breakdown_is_loss_of_its_logits(self, weight, monkeypatch):
+        seen = []
+        real = nn.softmax_cross_entropy
+
+        def recording(logits, labels):
+            seen.append((logits.copy(), labels))
+            return real(logits, labels)
+
+        monkeypatch.setattr(nn, "softmax_cross_entropy", recording)
+        x = np.random.default_rng(9).normal(size=(3, 1, 8, 8))
+        breakdown, _ = loss_and_grads(micro_params(), x, np.array([0, 1, 1]),
+                                      np.array([2, 0, 1]), weight)
+        assert len(seen) == 2  # one cross-entropy per head
+        (logits_id, labels_id), (logits_ag, labels_ag) = seen
+        seen.clear()
+        assert breakdown == loss(logits_id, logits_ag, labels_id, labels_ag, weight)
 
 
 class TestAblationWeights:
