@@ -104,7 +104,7 @@ def save_checkpoint(
         handle.write(config_blob)
         handle.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            data = np.ascontiguousarray(tensors[name], dtype="<f8")
+            data = np.asarray(tensors[name], dtype="<f8", order="C")  # keeps rank 0
             encoded = name.encode("utf-8")
             handle.write(struct.pack("<I", len(encoded)))
             handle.write(encoded)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import to_dict
 from .errors import HmicError
 
 
@@ -145,22 +146,8 @@ class EvalReport:
         return {
             "pauc_p": self.pauc_p,
             "config_digest": self.config_digest,
-            "cells": [
-                {
-                    "machine_type": c.machine_type,
-                    "section": c.section,
-                    "domain": c.domain,
-                    "auc": c.auc,
-                    "pauc": c.pauc,
-                    "n_normal": c.n_normal,
-                    "n_anomalous": c.n_anomalous,
-                }
-                for c in self.cells
-            ],
-            "section_auc": [
-                {"machine_type": s.machine_type, "section": s.section, "auc": s.auc}
-                for s in self.section_aucs
-            ],
+            "cells": [to_dict(c) for c in self.cells],
+            "section_auc": [to_dict(s) for s in self.section_aucs],
             "machines": self.machine_totals,
             "total": {
                 "auc": self.total_auc,

@@ -110,15 +110,19 @@ class LabelSpace:
     """Integer label assignments for one machine type.
 
     ``id_labels`` maps section IDs to contiguous section labels, ``ag_labels``
-    maps group keys to contiguous group labels, and ``ag_by_section`` records
-    which group labels hang under each section. Instances are read-only and
-    safe to share across workers.
+    maps group keys to contiguous group labels, and ``ag_by_section`` derives
+    from them which group labels hang under each section. Instances are
+    read-only and safe to share across workers.
     """
 
     machine_type: str
     id_labels: dict[int, int]
     ag_labels: dict[AttributeGroupKey, int]
-    ag_by_section: dict[int, tuple[int, ...]]
+
+    @property
+    def ag_by_section(self) -> dict[int, tuple[int, ...]]:
+        return {s: tuple(sorted(l for k, l in self.ag_labels.items() if k.section_id == s))
+                for s in sorted(self.id_labels)}
 
     @property
     def n_sections(self) -> int:
@@ -151,11 +155,7 @@ class LabelSpace:
             )
             for g in data["groups"]
         }
-        ag_by_section = {
-            s: tuple(sorted(l for k, l in ag_labels.items() if k.section_id == s))
-            for s in id_labels
-        }
-        return LabelSpace(data["machine_type"], id_labels, ag_labels, ag_by_section)
+        return LabelSpace(data["machine_type"], id_labels, ag_labels)
 
 
 def parse_dcase_filename(filename: str, machine_type: str = "unknown") -> ClipMeta:
@@ -233,10 +233,7 @@ def build_label_space(clips: list[ClipMeta], machine_type: str) -> LabelSpace:
     id_labels = {s: i for i, s in enumerate(sections)}
     keys = sorted({c.group_key() for c in clips}, key=AttributeGroupKey.sort_key)
     ag_labels = {k: m for m, k in enumerate(keys)}
-    ag_by_section = {
-        s: tuple(m for k, m in ag_labels.items() if k.section_id == s) for s in sections
-    }
-    return LabelSpace(machine_type, id_labels, ag_labels, ag_by_section)
+    return LabelSpace(machine_type, id_labels, ag_labels)
 
 
 def assign_labels(clip: ClipMeta, space: LabelSpace) -> tuple[int, int]:

@@ -41,6 +41,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.id_loss_weight <= 1.0:
             raise ModelError(f"id_loss_weight must be in [0, 1], got {self.id_loss_weight}")
+        if min(self.channels) < 1 or self.head_channels < 1:
+            raise ModelError(f"channels {self.channels} and head_channels {self.head_channels} "
+                             "must be >= 1")
 
     @property
     def feat_low_dim(self) -> int:
@@ -56,12 +59,10 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Named float64 parameter tensors plus the label-space sizes they serve."""
+    """Named float64 parameter tensors and the config that lays them out."""
 
     tensors: dict[str, np.ndarray]
     config: ModelConfig
-    n_sections: int
-    n_groups: int
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def init_params(
     tensors["cls_id.b"] = uniform((n_sections,), config.feat_low_dim)
     tensors["cls_ag.w"] = uniform((n_groups, config.feat_high_dim), config.feat_high_dim)
     tensors["cls_ag.b"] = uniform((n_groups,), config.feat_high_dim)
-    return ModelParams(tensors=tensors, config=config, n_sections=n_sections, n_groups=n_groups)
+    return ModelParams(tensors=tensors, config=config)
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:

@@ -29,12 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, scoring
-from .checkpoint import config_digest, from_dict, load_checkpoint, save_checkpoint, to_dict
+from .checkpoint import config_digest, load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import ManifestEntry, assign_labels, build_label_space, read_manifest
-from .model import ModelConfig, ModelParams, forward_features
+from .model import ModelConfig, ModelParams, forward_features, init_params
 from .training import train, write_training_log
 
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
@@ -234,19 +234,24 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     return checkpoint_path
 
 
-def _params_from_checkpoint(tensors, machine: str, config_block: dict) -> ModelParams:
+def _params_from_checkpoint(tensors, machine: str, model_config: ModelConfig) -> ModelParams:
+    """The machine's parameter tensors, checked name by name and shape by shape
+    against what ``init_params`` lays out for the classifier sizes they hold."""
     prefix = f"{machine}/param/"
     own = {name[len(prefix):]: value for name, value in tensors.items()
            if name.startswith(prefix)}
-    if not own:
-        raise PipelineError(f"checkpoint has no parameters for machine {machine!r}")
-    space = config_block["label_spaces"][machine]
-    return ModelParams(
-        tensors=own,
-        config=from_dict(ModelConfig, config_block["run"]["model"]),
-        n_sections=len(space["sections"]),
-        n_groups=len(space["groups"]),
-    )
+    found = {name: value.shape for name, value in own.items()}
+    try:
+        (n_sections,), (n_groups,) = found["cls_id.b"], found["cls_ag.b"]
+        layout = init_params(model_config, n_sections, n_groups, np.random.default_rng(0))
+    except (KeyError, ValueError):  # ModelError is a ValueError
+        raise PipelineError(f"{prefix} has no usable cls_id.b / cls_ag.b tensors") from None
+    expected = {name: value.shape for name, value in layout.tensors.items()}
+    if found != expected:
+        raise PipelineError(f"{prefix} tensors do not match the model config: checkpoint has "
+                            f"{sorted(found.items() - expected.items())}, config lays out "
+                            f"{sorted(expected.items() - found.items())}")
+    return ModelParams(tensors=own, config=model_config)
 
 
 @dataclass(frozen=True)
@@ -270,12 +275,21 @@ def run_score(
     manifest_path = Path(manifest_path)
     out_csv = Path(out_csv)
     workdir = Path(workdir) if workdir else out_csv.parent
-    tensors, config_block, digest = load_checkpoint(checkpoint_path)
+    tensors, _, digest = load_checkpoint(checkpoint_path)
     if digest != config.semantic_digest():
         raise ConfigMismatchError(
             f"checkpoint digest {digest[:12]} does not match the current config "
             f"{config.semantic_digest()[:12]}; retrain or fix the config"
         )
+    # The embedded config JSON is provenance only: no digest covers it. Each
+    # machine is rebuilt from its tensors and the config the digest checked.
+    models: dict[str, scoring.CentreModel] = {}
+    params: dict[str, ModelParams] = {}
+    for machine in sorted({name.split("/", 1)[0] for name in tensors}):
+        params[machine] = _params_from_checkpoint(tensors, machine, config.model)
+        models[machine] = scoring.centre_model_from_tensors(
+            tensors, f"{machine}/{config.scoring_mode}", config.scoring_mode)
+
     entries = read_manifest(manifest_path)
     test_entries = [e for e in entries if e.meta.split == "test"]
     if not test_entries:
@@ -284,15 +298,6 @@ def run_score(
     wav_digests: dict[str, str] = {}
     features = extract_features(test_entries, corpus_root, config, workdir, wav_digests)
     cache_dir = _cache_dir(workdir, config)
-
-    models: dict[str, scoring.CentreModel] = {}
-    params: dict[str, ModelParams] = {}
-    for machine in config_block["machines"]:
-        params[machine] = _params_from_checkpoint(tensors, machine, config_block)
-        models[machine] = scoring.centre_model_from_tensors(
-            tensors, f"{machine}/{config.scoring_mode}", config.scoring_mode,
-            config.covariance_mode,
-        )
 
     records: dict[str, scoring.ScoreRecord] = {}
     errors: list[str] = []

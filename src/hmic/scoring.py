@@ -10,6 +10,7 @@ inverse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,7 @@ class GroupCentre:
 @dataclass(frozen=True)
 class CentreModel:
     kind: str  # "agc" | "dc"
-    covariance_mode: str
     groups_by_section: dict[int, tuple[GroupCentre, ...]]  # ascending label order
-
-    @property
-    def sections(self) -> tuple[int, ...]:
-        return tuple(sorted(self.groups_by_section))
 
 
 @dataclass(frozen=True)
@@ -131,8 +127,7 @@ def _fit(
                 groups.append(GroupCentre(label, centre, cov, eps, n, _factor(cov, eps)))
             groups = tuple(groups)
         groups_by_section[section] = groups
-    return CentreModel(kind=kind, covariance_mode=covariance_mode,
-                       groups_by_section=groups_by_section)
+    return CentreModel(kind=kind, groups_by_section=groups_by_section)
 
 
 def fit_agc(
@@ -205,6 +200,10 @@ def score_dc(feat: np.ndarray, model: CentreModel, section: int, clip_id: str = 
 # --- checkpoint (de)serialization -------------------------------------------
 
 
+_PARTS = ("centre", "cov", "stats")
+_CENTRE_NAME = re.compile(rf"([0-9]+)/([0-9]+)/({'|'.join(_PARTS)})")  # after the prefix
+
+
 def centre_model_to_tensors(model: CentreModel, prefix: str) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for section, groups in model.groups_by_section.items():
@@ -217,14 +216,20 @@ def centre_model_to_tensors(model: CentreModel, prefix: str) -> dict[str, np.nda
 
 
 def centre_model_from_tensors(
-    tensors: dict[str, np.ndarray], prefix: str, kind: str, covariance_mode: str
+    tensors: dict[str, np.ndarray], prefix: str, kind: str
 ) -> CentreModel:
+    """The centre model stored under ``prefix``. A name that is not
+    ``prefix/<section>/<label>/<part>``, a group without its three parts, parts
+    whose shapes disagree or a covariance that will not factor raise ScoringError."""
     found: dict[int, dict[int, dict[str, np.ndarray]]] = {}
     marker = prefix + "/"
     for name, value in tensors.items():
         if not name.startswith(marker):
             continue
-        _, section, label, part = name.rsplit("/", 3)
+        match = _CENTRE_NAME.fullmatch(name[len(marker):])
+        if match is None:
+            raise ScoringError(f"malformed centre tensor name {name!r}")
+        section, label, part = match.groups()
         found.setdefault(int(section), {}).setdefault(int(label), {})[part] = value
     if not found:
         raise ScoringError(f"no {prefix!r} tensors in checkpoint")
@@ -232,19 +237,17 @@ def centre_model_from_tensors(
     for section, per_label in found.items():
         groups = []
         for label in sorted(per_label):
-            parts = per_label[label]
-            cov = parts["cov"]
-            n_clips, eps = parts["stats"]
-            groups.append(
-                GroupCentre(
-                    label=label,
-                    centre=parts["centre"],
-                    covariance=cov,
-                    shrink_eps=float(eps),
-                    n_clips=int(n_clips),
-                    solve=_factor(cov, float(eps)),
-                )
-            )
+            parts, base = per_label[label], f"{prefix}/{section}/{label}"
+            try:
+                centre, cov, stats = (parts[part] for part in _PARTS)
+                if centre.ndim != 1 or cov.shape != centre.shape * 2 or stats.shape != (2,):
+                    raise ValueError(f"shapes {centre.shape}, {cov.shape}, {stats.shape} misfit")
+                eps = float(stats[1])  # LinAlgError is a ValueError; int(inf) overflows
+                solve = _factor(cov, eps)
+                groups.append(GroupCentre(label, centre, cov, eps, int(stats[0]), solve))
+            except KeyError as exc:
+                raise ScoringError(f"{base} has no {exc.args[0]} tensor") from None
+            except (ValueError, OverflowError) as exc:
+                raise ScoringError(f"{base}: unusable centre statistics ({exc})") from None
         groups_by_section[section] = tuple(groups)
-    return CentreModel(kind=kind, covariance_mode=covariance_mode,
-                       groups_by_section=groups_by_section)
+    return CentreModel(kind=kind, groups_by_section=groups_by_section)

@@ -29,6 +29,11 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 7
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1 or self.batch_size < 1:
+            raise TrainingError(f"epochs {self.epochs} and batch_size {self.batch_size} "
+                                "must be >= 1")
+
 
 @dataclass(frozen=True)
 class EpochStats:

@@ -79,6 +79,7 @@ class TestCheckpointFile:
         assert loaded_digest == digest
         assert loaded.keys() == tensors.keys()
         for name in tensors:
+            assert loaded[name].shape == np.shape(tensors[name])
             np.testing.assert_array_equal(loaded[name], np.asarray(tensors[name], float))
 
     def test_bad_magic(self, tmp_path):

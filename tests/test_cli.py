@@ -108,6 +108,27 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("train", "batch_size", 0),
+        ("train", "batch_size", -8),
+        ("train", "epochs", -1),
+        ("model", "channels", [0, 8, 16]),
+        ("model", "head_channels", 0),
+    ])
+    def test_out_of_range_config_fails_before_training(self, tiny_corpus, tmp_path, capsys,
+                                                       section, field, value):
+        config = to_dict(make_tiny_config())
+        config[section][field] = value
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        workdir = tmp_path / "run"
+        code = run_cli("train", "--corpus", tiny_corpus[0], "--out", workdir / "model.hmic",
+                       "--workdir", workdir, "--config", config_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert not workdir.exists()
+
 
 class TestScore:
     def test_scores_every_test_clip(self, trained, tmp_path, tiny_config_path):
@@ -537,6 +558,87 @@ class TestCorpusReadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and victim.path in err
         assert not out.exists()
+
+
+def _first(tensors, prefix, part):
+    return next(name for name in sorted(tensors) if name.startswith(prefix)
+                and name.endswith(part))
+
+
+def _rename_section(tensors):
+    name = _first(tensors, "gizmo/agc/", "/centre")
+    machine, kind, _, label, part = name.split("/")
+    tensors[f"{machine}/{kind}/zero/{label}/{part}"] = tensors.pop(name)
+
+
+_JSON_EDITS = {
+    "machines_renamed": lambda block: block.update(machinfs=block.pop("machines")),
+    "channels_shortened": lambda block: block["run"]["model"].update(
+        channels=block["run"]["model"]["channels"][:2]),
+    "label_space_without_groups": lambda block: block["label_spaces"]["gizmo"].pop("groups"),
+    "semantic_emptied": lambda block: block.update(semantic={}),
+}
+_TENSOR_EDITS = {
+    "missing_head_w": lambda tensors: tensors.pop("gizmo/param/head.w"),
+    "wrong_shape_conv1_w": lambda tensors: tensors.update(
+        {"gizmo/param/conv1.w": tensors["gizmo/param/conv1.w"][..., :2]}),
+    "non_integer_section": _rename_section,
+    "missing_cov": lambda tensors: tensors.pop(_first(tensors, "gizmo/agc/", "/cov")),
+}
+
+
+class TestCheckpointTrust:
+    """Scoring reads each machine from the checkpoint's tensors and the config
+    its header digest checks; the embedded config JSON is provenance only."""
+
+    def _edited(self, checkpoint, path, edit, of_json):
+        """The checkpoint rewritten under its own digest, with ``edit`` applied
+        to its config JSON or to its tensors."""
+        tensors, block, digest = load_checkpoint(checkpoint)
+        edit(block if of_json else tensors)
+        save_checkpoint(path, tensors, block, digest)
+        return path
+
+    def _score(self, checkpoint, manifest, out, config_path):
+        return run_cli("score", "--checkpoint", checkpoint, "--manifest", manifest,
+                       "--out", out, "--config", config_path)
+
+    @pytest.mark.parametrize("edit", sorted(_JSON_EDITS))
+    def test_a_json_only_edit_scores_like_the_clean_checkpoint(self, trained, tmp_path,
+                                                               tiny_config_path, edit):
+        _, manifest, checkpoint, _ = trained
+        clean = tmp_path / "clean" / "scores.csv"
+        assert self._score(checkpoint, manifest, clean, tiny_config_path) == 0
+        edited = self._edited(checkpoint, tmp_path / "edited.hmic", _JSON_EDITS[edit], True)
+        out = tmp_path / "edited" / "scores.csv"
+        assert self._score(edited, manifest, out, tiny_config_path) == 0
+        assert out.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("edit", sorted(_TENSOR_EDITS))
+    def test_a_tensor_edit_is_one_line_error(self, trained, tmp_path, tiny_config_path,
+                                             capsys, edit):
+        _, manifest, checkpoint, _ = trained
+        edited = self._edited(checkpoint, tmp_path / "edited.hmic", _TENSOR_EDITS[edit], False)
+        out = tmp_path / "scores.csv"
+        assert self._score(edited, manifest, out, tiny_config_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_machine_with_no_tensors_gets_error_rows(self, trained, tmp_path,
+                                                       tiny_config_path, capsys):
+        corpus_root, manifest, checkpoint, _ = trained
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
+        victim = next(e for e in entries if e.meta.split == "test")
+        stranger = replace(victim, meta=replace(victim.meta, machine_type="widget"))
+        strange_manifest = tmp_path / "manifest_widget.csv"
+        write_manifest([stranger if e is victim else e for e in entries], strange_manifest)
+        out = tmp_path / "scores.csv"
+        assert self._score(checkpoint, strange_manifest, out, tiny_config_path) == 1
+        with out.open() as handle:
+            rows = {r["clip_id"]: r["score"] for r in csv.DictReader(handle)}
+        assert rows.pop(victim.meta.clip_id) == "" and all(rows.values())
+        assert "unknown machine type 'widget'" in capsys.readouterr().err
 
 
 class TestPipelineCommand:

@@ -240,10 +240,24 @@ class TestTensorRoundTrip:
         sections = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
         model = fit_simple(feats, labels, sections)
         tensors = centre_model_to_tensors(model, "agc")
-        restored = centre_model_from_tensors(tensors, "agc", "agc", "per_group")
+        restored = centre_model_from_tensors(tensors, "agc", "agc")
         probe = rng.normal(size=4)
         for section in (0, 1):
             a = score_agc(probe, model, section)
             b = score_agc(probe, restored, section)
             assert b.score == pytest.approx(a.score, rel=1e-12)
             assert b.argmin_group == a.argmin_group
+
+    @pytest.mark.parametrize("fault", ["missing_stats", "misfit_cov", "not_positive_definite"])
+    def test_a_damaged_centre_tensor_is_a_scoring_error(self, fault):
+        rng = np.random.default_rng(8)
+        model = fit_simple(rng.normal(size=(6, 3)), [0, 0, 0, 1, 1, 1], [0] * 6)
+        tensors = centre_model_to_tensors(model, "agc")
+        if fault == "missing_stats":
+            del tensors["agc/0/1/stats"]
+        elif fault == "misfit_cov":
+            tensors["agc/0/1/cov"] = np.eye(2)
+        else:
+            tensors["agc/0/1/cov"] = -np.eye(3)
+        with pytest.raises(ScoringError, match="agc/0/"):
+            centre_model_from_tensors(tensors, "agc", "agc")
