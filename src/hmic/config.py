@@ -51,6 +51,10 @@ class RunConfig:
             raise ConfigError(f"pauc_p must be in (0, 1], got {self.pauc_p}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.shrinkage is not None and not self.shrinkage > 0.0:
+            raise ConfigError(f"shrinkage must be > 0 or null, got {self.shrinkage}")
+        if not self.shrinkage_rel > 0.0:
+            raise ConfigError(f"shrinkage_rel must be > 0, got {self.shrinkage_rel}")
 
     def semantic_dict(self) -> dict:
         """The sub-config that determines what a trained checkpoint contains."""

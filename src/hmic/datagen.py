@@ -276,14 +276,28 @@ def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
     phases = rng.uniform(0.0, 2.0 * np.pi, freqs.size)
     gains = spec.tone_amp * rng.uniform(0.85, 1.15, freqs.size)
     gains[n_main:] *= spec.anomaly.ghost_amp
+    # One scratch array holds each tone, the AM term and the noise in turn; the
+    # in-place steps run in the order of the plain expressions, bit for bit.
     signal = np.zeros(n)
+    scratch = np.empty(n)
     for freq, phase, gain in zip(freqs, phases, gains):
-        signal += gain * np.sin(2.0 * np.pi * freq * t + phase)
+        np.multiply(2.0 * np.pi * freq, t, out=scratch)
+        scratch += phase
+        np.sin(scratch, out=scratch)
+        scratch *= gain
+        signal += scratch
     am_phase = rng.uniform(0.0, 2.0 * np.pi)
-    am = 1.0 + spec.am_depth * np.sin(2.0 * np.pi * plan.section.am_rate_hz * t + am_phase)
-    signal *= am / (1.0 + spec.am_depth)
+    np.multiply(2.0 * np.pi * plan.section.am_rate_hz, t, out=scratch)
+    scratch += am_phase
+    np.sin(scratch, out=scratch)
+    scratch *= spec.am_depth
+    scratch += 1.0
+    scratch /= 1.0 + spec.am_depth
+    signal *= scratch
     noise_amp = spec.noise_amp_source if plan.meta.domain == "source" else spec.noise_amp_target
-    signal += noise_amp * rng.standard_normal(n)
+    rng.standard_normal(n, out=scratch)
+    scratch *= noise_amp
+    signal += scratch
     if plan.anomalous:
         n_clicks = max(1, int(round(spec.anomaly.clicks_per_second * spec.clip_seconds)))
         burst_len = int(0.004 * spec.sample_rate_hz)

@@ -8,8 +8,15 @@ is the log-Mel batch). Kept deliberately small so every gradient can be
 finite-difference checked.
 
 The 3x3 convolution has one formulation. ``_cols`` lays a channel-major batch
-out as a (9C, B*H*W) column matrix, and the output, the weight gradient and the
-input gradient are each one GEMM against such a matrix.
+out as a (9C, B*H*W) column matrix; the output and the weight gradient are each
+one GEMM against ``_cols(x)``. The input gradient is the transpose of the
+forward: one GEMM gives a (9C, B*H*W) column gradient, and col2im adds its nine
+taps back onto a padded channel-major image.
+
+Every array keeps the NCHW shape (B, C, H, W) at the interfaces, but the conv
+output, both pools' input gradients and everything elementwise computed from
+them hold channel-major (C, B, H, W) memory behind that shape. So the
+channel-major view that a GEMM needs costs no copy, forward or backward.
 """
 
 from __future__ import annotations
@@ -31,20 +38,15 @@ def _cols(x_cm: np.ndarray) -> np.ndarray:
     return cols.reshape(9 * C, B * H * W)
 
 
-def _conv_cm(x_cm: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The one conv GEMM: channel-major (C, B, H, W) in, (O, B, H, W) out."""
-    O = w.shape[0]
-    _, B, H, W = x_cm.shape
-    return (w.reshape(O, -1) @ _cols(x_cm)).reshape(O, B, H, W)
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """3x3 stride-1 convolution with same padding.
 
     x: (B, C, H, W), w: (O, C, 3, 3), b: (O,) -> out (B, O, H, W), a view of
     channel-major memory.
     """
-    out = _conv_cm(x.transpose(1, 0, 2, 3), w)
+    O = w.shape[0]
+    B, _, H, W = x.shape
+    out = (w.reshape(O, -1) @ _cols(x.transpose(1, 0, 2, 3))).reshape(O, B, H, W)
     out += b[:, None, None, None]
     return out.transpose(1, 0, 2, 3), (x, w)
 
@@ -52,18 +54,23 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
     """Returns (dx, dw, db); dx is None when ``need_dx`` is false.
 
-    dw = dout (O, B*H*W) @ cols(x).T. dx is the forward GEMM run on dout with
-    the kernel flipped and its channel axes swapped.
+    dw = dout (O, B*H*W) @ cols(x).T. dx is col2im of w(O, 9C).T @ dout: a
+    (9C, B*H*W) column gradient whose nine taps add into a zero-padded
+    channel-major image, returned as an NCHW view of its interior.
     """
     x, w = cache
     B, O, H, W = dout.shape
-    dout_cm = dout.transpose(1, 0, 2, 3)
-    dw = (dout_cm.reshape(O, B * H * W) @ _cols(x.transpose(1, 0, 2, 3)).T).reshape(w.shape)
+    C = w.shape[1]
+    dout_cm = dout.transpose(1, 0, 2, 3).reshape(O, B * H * W)  # a view when channel-major
+    dw = (dout_cm @ _cols(x.transpose(1, 0, 2, 3)).T).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
     if not need_dx:
         return None, dw, db
-    dx = _conv_cm(dout_cm, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return dx.transpose(1, 0, 2, 3), dw, db
+    dcols = (w.reshape(O, 9 * C).T @ dout_cm).reshape(C, 3, 3, B, H, W)
+    padded = np.zeros((C, B, H + 2, W + 2), dtype=dcols.dtype)
+    for i, j in np.ndindex(3, 3):
+        padded[:, :, i : i + H, j : j + W] += dcols[:, i, j]
+    return padded[:, :, 1 : H + 1, 1 : W + 1].transpose(1, 0, 2, 3), dw, db
 
 
 def channel_scale(x: np.ndarray, gain: np.ndarray):
@@ -102,12 +109,12 @@ def avg_pool2(x: np.ndarray):
 def avg_pool2_backward(dout: np.ndarray, cache):
     H, W = cache
     B, C, H2, W2 = dout.shape
-    dx = np.zeros((B, C, H, W), dtype=dout.dtype)
-    quarter = dout / 4.0
+    dx = np.zeros((C, B, H, W), dtype=dout.dtype)
+    quarter = dout.transpose(1, 0, 2, 3) / 4.0
     for i in range(2):
         for j in range(2):
             dx[:, :, i : 2 * H2 : 2, j : 2 * W2 : 2] = quarter
-    return dx
+    return dx.transpose(1, 0, 2, 3)
 
 
 def global_avg_pool(x: np.ndarray):
@@ -118,7 +125,10 @@ def global_avg_pool(x: np.ndarray):
 
 def global_avg_pool_backward(dout: np.ndarray, cache):
     H, W = cache
-    return dout[:, :, None, None] * np.ones((1, 1, H, W), dtype=dout.dtype) / (H * W)
+    B, C = dout.shape
+    dx = np.empty((C, B, H, W), dtype=dout.dtype)
+    dx[...] = (dout.T / (H * W))[:, :, None, None]
+    return dx.transpose(1, 0, 2, 3)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):

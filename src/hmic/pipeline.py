@@ -289,6 +289,11 @@ def run_score(
         params[machine] = _params_from_checkpoint(tensors, machine, config.model)
         models[machine] = scoring.centre_model_from_tensors(
             tensors, f"{machine}/{config.scoring_mode}", config.scoring_mode)
+        widths = {group.centre.shape[0] for groups in models[machine].groups_by_section.values()
+                  for group in groups}
+        if widths != {config.model.feat_high_dim}:
+            raise PipelineError(f"{machine}/{config.scoring_mode} centres have width "
+                                f"{sorted(widths)}; the model embeds {config.model.feat_high_dim}")
 
     entries = read_manifest(manifest_path)
     test_entries = [e for e in entries if e.meta.split == "test"]

@@ -20,6 +20,7 @@ from hmic.scoring import COVARIANCE_MODES
 from hmic.training import TrainConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 run_configs = st.builds(
     RunConfig,
     dsp=st.builds(
@@ -53,8 +54,8 @@ run_configs = st.builds(
     ),
     ablation=st.sampled_from(ABLATIONS),
     covariance_mode=st.sampled_from(COVARIANCE_MODES),
-    shrinkage=st.none() | finite,
-    shrinkage_rel=finite,
+    shrinkage=st.none() | positive,
+    shrinkage_rel=positive,
     scoring_mode=st.sampled_from(SCORING_MODES),
     pauc_p=st.floats(0.0, 1.0, exclude_min=True),
     jobs=st.integers(1, 64),
@@ -147,6 +148,12 @@ class TestRunConfig:
             RunConfig(pauc_p=0.0)
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
+        for shrinkage in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ConfigError, match="shrinkage"):
+                RunConfig(shrinkage=shrinkage)
+        for shrinkage_rel in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ConfigError, match="shrinkage_rel"):
+                RunConfig(shrinkage_rel=shrinkage_rel)
 
     def test_default_semantic_digest_is_pinned(self):
         assert RunConfig().semantic_digest() == (

@@ -114,11 +114,13 @@ class TestTrain:
         ("train", "epochs", -1),
         ("model", "channels", [0, 8, 16]),
         ("model", "head_channels", 0),
+        (None, "shrinkage", 0.0),
+        (None, "shrinkage_rel", -1e-3),
     ])
     def test_out_of_range_config_fails_before_training(self, tiny_corpus, tmp_path, capsys,
                                                        section, field, value):
         config = to_dict(make_tiny_config())
-        config[section][field] = value
+        (config[section] if section else config)[field] = value
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
         workdir = tmp_path / "run"
@@ -565,6 +567,15 @@ def _first(tensors, prefix, part):
                 and name.endswith(part))
 
 
+def _narrow_centres(tensors):
+    """Every agc centre one value short of the embedding, its covariance to match."""
+    for name in [n for n in tensors if n.startswith("gizmo/agc/")]:
+        if name.endswith("/centre"):
+            tensors[name] = tensors[name][:-1]
+        elif name.endswith("/cov"):
+            tensors[name] = tensors[name][:-1, :-1]
+
+
 def _rename_section(tensors):
     name = _first(tensors, "gizmo/agc/", "/centre")
     machine, kind, _, label, part = name.split("/")
@@ -584,6 +595,7 @@ _TENSOR_EDITS = {
         {"gizmo/param/conv1.w": tensors["gizmo/param/conv1.w"][..., :2]}),
     "non_integer_section": _rename_section,
     "missing_cov": lambda tensors: tensors.pop(_first(tensors, "gizmo/agc/", "/cov")),
+    "centres_narrower_than_embedding": _narrow_centres,
 }
 
 

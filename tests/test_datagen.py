@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,8 +103,6 @@ class TestPlanCorpus:
     def test_counts_must_be_positive(self):
         bad = tiny_spec()
         section = bad.machines[0].sections[0]
-        from dataclasses import replace
-
         broken = replace(
             bad,
             machines=(
@@ -118,8 +117,6 @@ class TestPlanCorpus:
 
     def test_tones_must_stay_below_nyquist(self):
         spec = tiny_spec()
-        from dataclasses import replace
-
         section = spec.machines[0].sections[0]
         loud = replace(
             section,
@@ -132,7 +129,46 @@ class TestPlanCorpus:
             plan_corpus(broken)
 
 
+def _ghost_spec(seed):
+    return replace(default_spec(seed), anomaly=AnomalySpec(ghost_attr="spd", ghost_amp=0.5))
+
+
+_PRESETS = {"default": default_spec, "shifted": shifted_spec, "ghost": _ghost_spec}
+# sha256 of the float64 samples of the first test clip per (domain, anomalous)
+# of each preset at seed 2022; "ghost" is the default preset with ghost tones.
+RENDER_PINS = [
+    ("default", "section_00_source_test_normal_0000_mic_m1_spd_lo",
+     "e1cb720470fea965a1ddf75f9051ae7522e0bc65240201ed4de9f089029a61e2"),
+    ("default", "section_00_source_test_anomaly_0000_mic_m1_spd_lo",
+     "7a9fd12fa6545376cd6032735c01efd2c6c30d5e5d57d32574a5c852fd6a777d"),
+    ("default", "section_00_target_test_normal_0000_mic_m1_spd_lo",
+     "558487e59bd3f6e64c490da55c2693e42bd450a0829b7dd3d415905ccbe8030d"),
+    ("default", "section_00_target_test_anomaly_0000_mic_m1_spd_lo",
+     "7a970049ce924324082c6591e208c776c980ea765355edc282c8166769a7ab6e"),
+    ("shifted", "section_00_source_test_normal_0000_mic_m1_spd_lo",
+     "9333243a6c16b7962d6563da469924eb10047bfe5882f3faf6f955f3ce231fc3"),
+    ("shifted", "section_00_source_test_anomaly_0000_mic_m1_spd_lo",
+     "d1a66de7c6d084560b8aa5fae87063b8f98e4d12e91883bf9c3f0aad9d4caed1"),
+    ("shifted", "section_00_target_test_normal_0000_mic_m1_spd_xt",
+     "5b43011eec03e0cd014c17ddaaa57f22ded051d5acdacf9b87c96a27180b3e8c"),
+    ("shifted", "section_00_target_test_anomaly_0000_mic_m1_spd_xt",
+     "08dd7f647d46319726673caf33d98db3189413e6087cf4005558ed1e760bba89"),
+    ("ghost", "section_00_source_test_anomaly_0000_mic_m1_spd_lo",
+     "8d6fc2c11b5c14c2af973bde4f013681a316881316a6bff12f0246e461b0cb48"),
+    ("ghost", "section_00_target_test_anomaly_0000_mic_m1_spd_lo",
+     "856412e1e64daf01265baf8007d587b43cc2c2b18f7346a39d5a156a8df36bdf"),
+]
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("preset,clip,digest", RENDER_PINS)
+    def test_rendered_samples_are_pinned(self, preset, clip, digest):
+        spec = _PRESETS[preset](2022)
+        plan = next(p for p in plan_corpus(spec) if p.meta.clip_id == f"gizmo/{clip}")
+        samples = synthesize_clip(spec, plan)
+        assert samples.dtype == np.float64
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
     def test_same_plan_renders_identically(self):
         spec = tiny_spec()
         plan = plan_corpus(spec)[0]
@@ -165,8 +201,6 @@ class TestSynthesize:
 
 class TestGhostTones:
     def test_ghost_mode_adds_sibling_tones_to_anomalies_only(self):
-        from dataclasses import replace
-
         spec = replace(
             tiny_spec(),
             anomaly=AnomalySpec(detune_cents=0.0, clicks_per_second=0.0, click_amp=0.0,
@@ -183,8 +217,6 @@ class TestGhostTones:
                 assert plan.ghost_tones_hz == ()
 
     def test_ghost_changes_rendered_audio(self):
-        from dataclasses import replace
-
         quiet = replace(
             tiny_spec(),
             anomaly=AnomalySpec(detune_cents=0.0, clicks_per_second=0.0, click_amp=0.0),
