@@ -18,12 +18,14 @@ from .errors import HmicError
 
 ABLATIONS = ("hmic", "domain_only", "attribute_only")
 
-# Input pixels (clips x n_mels x frames) per inference chunk: 12 clips at
-# 128x63, 2 at 128x313. Per-clip forward cost (one BLAS thread, medians of 3)
-# by clips per call was 4.9/3.5/2.3/2.4/2.5/3.3 ms for 1/2/4/8/12/32 clips at
-# 128x63, and 13.8/10.5/11.9/17.3/24.0 ms for 1/2/4/8/32 clips at 128x313:
-# past about 100k pixels each layer's temporaries outgrow the cache and the
-# kernel spends its time zeroing fresh pages for them.
+# Input pixels (clips x n_mels x frames) per chunk of inference and of each
+# training step: 12 clips at 128x63, 2 at 128x313. Per-clip forward cost (one
+# BLAS thread, medians of 3) by clips per call was 4.9/3.5/2.3/2.4/2.5/3.3 ms
+# for 1/2/4/8/12/32 clips at 128x63, and 13.8/10.5/11.9/17.3/24.0 ms for
+# 1/2/4/8/32 clips at 128x313: past about 100k pixels each layer's temporaries
+# outgrow the cache and the kernel spends its time zeroing fresh pages for
+# them. A 32-clip training step in these chunks peaks at 39 MB (128x63) and
+# 33 MB (128x313) under tracemalloc, against 101 and 506 MB as one batch.
 _CHUNK_PIXELS = 100_000
 
 
@@ -159,6 +161,14 @@ def _forward(params: ModelParams, x: np.ndarray, caches: dict | None = None) -> 
     return FeaturePair(feat_low=feat_low, feat_high=feat_high)
 
 
+def _chunks(x: np.ndarray) -> list[slice]:
+    """Consecutive clip slices of ``x``, each of about ``_CHUNK_PIXELS`` input
+    pixels and at least one clip. An empty batch still gives one slice, so
+    inference on it yields (0, d) feature matrices."""
+    step = max(1, _CHUNK_PIXELS // (x.shape[2] * x.shape[3]))
+    return [slice(i, i + step) for i in range(0, x.shape[0] or 1, step)]
+
+
 def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     """Deterministic inference-mode feature extraction.
 
@@ -172,20 +182,21 @@ def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     fewer than 32 in another order, may they move in the last bit.
     """
     x = _as_batch(x)
-    step = max(1, _CHUNK_PIXELS // (x.shape[2] * x.shape[3]))
-    # An empty batch still runs once, so it yields (0, d) feature matrices.
-    starts = range(0, x.shape[0] or 1, step)
-    pairs = [_forward(params, x[i : i + step]) for i in starts]
+    pairs = [_forward(params, x[part]) for part in _chunks(x)]
     return FeaturePair(
         feat_low=np.concatenate([p.feat_low for p in pairs]),
         feat_high=np.concatenate([p.feat_high for p in pairs]),
     )
 
 
-def _mixed(loss_id: float, loss_ag: float, id_loss_weight: float) -> LossBreakdown:
-    """The one place the two losses combine: ``w * id + (1 - w) * ag``."""
+def _check_weight(id_loss_weight: float) -> None:
     if not 0.0 <= id_loss_weight <= 1.0:
         raise ModelError(f"id_loss_weight must be in [0, 1], got {id_loss_weight}")
+
+
+def _mixed(loss_id: float, loss_ag: float, id_loss_weight: float) -> LossBreakdown:
+    """The one place the two losses combine: ``w * id + (1 - w) * ag``."""
+    _check_weight(id_loss_weight)
     total = id_loss_weight * loss_id + (1.0 - id_loss_weight) * loss_ag
     return LossBreakdown(loss_id=loss_id, loss_ag=loss_ag, loss_total=total)
 
@@ -215,8 +226,46 @@ def loss_and_grads(
     Returns (LossBreakdown, grads) where grads has one entry per parameter
     tensor. Both losses backpropagate through the shared backbone; an endpoint
     weight of 0 or 1 zeroes the other path's gradient exactly.
+
+    The batch runs in the chunks of ``forward_features``. The batch-mean
+    cross-entropy is a sum over clips, so each chunk's loss and its gradients,
+    scaled by the chunk's share b / B of the batch, add up to the batch's; a
+    chunk's caches die before the next chunk runs. A batch of one chunk (any
+    batch of at most ``_CHUNK_PIXELS`` pixels) computes bit for bit what one
+    whole-batch pass would; more chunks move the gradients in the last bits.
     """
     x = _as_batch(x)
+    n_clips = x.shape[0]
+    labels_id, labels_ag = np.asarray(labels_id), np.asarray(labels_ag)
+    if n_clips == 0:
+        raise ModelError("cannot take the loss of an empty batch")
+    if labels_id.shape != (n_clips,) or labels_ag.shape != (n_clips,):
+        raise ModelError(f"label shapes {labels_id.shape} and {labels_ag.shape} "
+                         f"do not match a batch of {n_clips}")
+    _check_weight(id_loss_weight)
+
+    loss_id = loss_ag = 0.0
+    grads: dict[str, np.ndarray] = {}
+    for part in _chunks(x):
+        chunk = x[part]
+        share = chunk.shape[0] / n_clips
+        chunk_id, chunk_ag, chunk_grads = _chunk_loss_and_grads(
+            params, chunk, labels_id[part], labels_ag[part],
+            id_loss_weight * share, (1.0 - id_loss_weight) * share,
+        )
+        loss_id += share * chunk_id
+        loss_ag += share * chunk_ag
+        if not grads:
+            grads = chunk_grads
+        else:
+            for name, grad in grads.items():
+                grad += chunk_grads[name]
+    return _mixed(loss_id, loss_ag, id_loss_weight), grads
+
+
+def _chunk_loss_and_grads(params, x, labels_id, labels_ag, scale_id, scale_ag):
+    """Both cross-entropies of one chunk, and the gradients of
+    ``scale_id * id + scale_ag * ag``; every cache dies at return."""
     t = params.tensors
     cache: dict = {}
     features = _forward(params, x, cache)
@@ -225,14 +274,13 @@ def loss_and_grads(
     logits_ag, c_lin_ag = nn.linear(features.feat_high, t["cls_ag.w"], t["cls_ag.b"])
     loss_id, dlogits_id = nn.softmax_cross_entropy(logits_id, labels_id)
     loss_ag, dlogits_ag = nn.softmax_cross_entropy(logits_ag, labels_ag)
-    breakdown = _mixed(loss_id, loss_ag, id_loss_weight)
 
     grads: dict[str, np.ndarray] = {}
     dfeat_low, grads["cls_id.w"], grads["cls_id.b"] = nn.linear_backward(
-        id_loss_weight * dlogits_id, c_lin_id
+        scale_id * dlogits_id, c_lin_id
     )
     dfeat_high, grads["cls_ag.w"], grads["cls_ag.b"] = nn.linear_backward(
-        (1.0 - id_loss_weight) * dlogits_ag, c_lin_ag
+        scale_ag * dlogits_ag, c_lin_ag
     )
 
     c_hconv, c_hscale, c_hrelu, _ = cache["head"]
@@ -251,4 +299,4 @@ def loss_and_grads(
             dmap, c_conv, need_dx=i > 1
         )
 
-    return breakdown, grads
+    return loss_id, loss_ag, grads

@@ -99,6 +99,8 @@ def train(
     labels_ag = np.asarray(labels_ag)
     if labels_id.shape != (n_clips,) or labels_ag.shape != (n_clips,):
         raise TrainingError("label arrays must match the number of clips")
+    if min(labels_id.min(), labels_ag.min()) < 0:
+        raise TrainingError("labels must be >= 0")
     if labels_id.max() >= n_sections or labels_ag.max() >= n_groups:
         raise TrainingError("labels exceed the declared label-space sizes")
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hmic import model
 from hmic.config import RunConfig, save_run_config
 from hmic.datagen import (
     AttributeSpec,
@@ -13,6 +14,19 @@ from hmic.datagen import (
 )
 from hmic.model import ModelConfig
 from hmic.training import TrainConfig
+
+
+# Input pixels of one micro test clip: 8 mel bands x 10 frames.
+MICRO_CLIP_PIXELS = 8 * 10
+
+
+@pytest.fixture(params=[1, 2], ids=["1-clip-chunks", "2-clip-chunks"])
+def micro_chunks(request, monkeypatch):
+    """Runs model batches of 8x8 or 8x10 clips in chunks of 1 or 2 clips (the
+    parameter, returned), so 3 clips make three chunks, or two with a 1-clip
+    remainder whose share of the batch differs from the first's."""
+    monkeypatch.setattr(model, "_CHUNK_PIXELS", request.param * MICRO_CLIP_PIXELS)
+    return request.param
 
 
 def make_tiny_spec(seed=7):

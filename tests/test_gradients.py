@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hmic import model
 from hmic.model import ModelConfig, init_params, loss_and_grads
 from hmic.training import gradient_check
 
@@ -29,6 +30,26 @@ def test_all_parameter_gradients_match_finite_differences(batch, weight):
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("weight", [0.5, 1.0, 0.0])
+def test_gradients_across_chunks_match_finite_differences(batch, weight, micro_chunks):
+    x, labels_id, labels_ag = batch
+    worst = gradient_check(fresh_params(), x, labels_id, labels_ag, weight, eps=1e-5)
+    assert worst < 1e-4
+
+
+@pytest.mark.parametrize("weight", [0.5, 1.0, 0.0])
+def test_gradients_across_chunks_match_one_chunk(batch, weight, micro_chunks, monkeypatch):
+    x, labels_id, labels_ag = batch
+    params = fresh_params()
+    _, chunked = loss_and_grads(params, x, labels_id, labels_ag, weight)
+    monkeypatch.setattr(model, "_CHUNK_PIXELS", x.size)
+    _, whole = loss_and_grads(params, x, labels_id, labels_ag, weight)
+    assert chunked.keys() == whole.keys()
+    for name, grad in whole.items():
+        scale = max(np.linalg.norm(grad), np.finfo(float).tiny)
+        assert np.linalg.norm(chunked[name] - grad) <= 1e-13 * scale, name
+
+
 def test_gradients_are_linear_in_the_loss_weight(batch):
     x, labels_id, labels_ag = batch
     params = fresh_params()
@@ -48,4 +69,14 @@ def test_loss_is_linear_in_the_weight(batch):
         breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag, weight)
         assert breakdown.loss_total == pytest.approx(
             weight * breakdown.loss_id + (1.0 - weight) * breakdown.loss_ag, abs=0
+        )
+
+
+def test_loss_across_chunks_is_linear_in_the_weight(batch, micro_chunks):
+    x, labels_id, labels_ag = batch
+    params = fresh_params()
+    for weight in (0.0, 0.3, 0.7, 1.0):
+        breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag, weight)
+        assert breakdown.loss_total == (
+            weight * breakdown.loss_id + (1.0 - weight) * breakdown.loss_ag
         )

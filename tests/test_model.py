@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -372,8 +373,10 @@ class TestLoss:
         with pytest.raises(ModelError):
             loss_and_grads(micro_params(), x, np.array([0]), np.array([0]), -0.1)
 
-    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
-    def test_loss_and_grads_breakdown_is_loss_of_its_logits(self, weight, monkeypatch):
+    @staticmethod
+    def _breakdown_and_cross_entropy_inputs(x, weight, monkeypatch):
+        """loss_and_grads on three clips, and the (logits, labels) of each
+        cross-entropy it took, in call order."""
         seen = []
         real = nn.softmax_cross_entropy
 
@@ -382,13 +385,45 @@ class TestLoss:
             return real(logits, labels)
 
         monkeypatch.setattr(nn, "softmax_cross_entropy", recording)
-        x = np.random.default_rng(9).normal(size=(3, 1, 8, 8))
         breakdown, _ = loss_and_grads(micro_params(), x, np.array([0, 1, 1]),
                                       np.array([2, 0, 1]), weight)
+        return breakdown, seen
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_loss_and_grads_breakdown_is_loss_of_its_logits(self, weight, monkeypatch):
+        x = np.random.default_rng(9).normal(size=(3, 1, 8, 8))
+        breakdown, seen = self._breakdown_and_cross_entropy_inputs(x, weight, monkeypatch)
         assert len(seen) == 2  # one cross-entropy per head
         (logits_id, labels_id), (logits_ag, labels_ag) = seen
-        seen.clear()
         assert breakdown == loss(logits_id, logits_ag, labels_id, labels_ag, weight)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_chunked_breakdown_is_loss_of_its_concatenated_logits(self, weight, micro_chunks,
+                                                                   monkeypatch):
+        x = np.random.default_rng(9).normal(size=(3, 1, 8, 10))
+        breakdown, seen = self._breakdown_and_cross_entropy_inputs(x, weight, monkeypatch)
+        assert len(seen) == 2 * math.ceil(3 / micro_chunks)  # both heads, every chunk
+        logits_id, labels_id = (np.concatenate(parts) for parts in zip(*seen[0::2]))
+        logits_ag, labels_ag = (np.concatenate(parts) for parts in zip(*seen[1::2]))
+        whole = loss(logits_id, logits_ag, labels_id, labels_ag, weight)
+        for got, want in zip(astuple(breakdown), astuple(whole)):
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ModelError, match="empty"):
+            loss_and_grads(micro_params(), np.zeros((0, 1, 8, 10)), np.array([], int),
+                           np.array([], int), 0.5)
+
+    @pytest.mark.parametrize("head", ["id", "ag"])
+    @pytest.mark.parametrize("n_labels", [6, 3, (4, 1)], ids=["6", "3", "4x1"])
+    def test_labels_not_one_per_clip_rejected(self, head, n_labels, micro_chunks):
+        # 6 labels on 4 clips in chunks of 2 would otherwise train on the first 4.
+        x = np.zeros((4, 1, 8, 10))
+        fitting = np.zeros(4, int)
+        misfit = np.zeros(n_labels, int)
+        labels = (misfit, fitting) if head == "id" else (fitting, misfit)
+        with pytest.raises(ModelError, match="label shapes"):
+            loss_and_grads(micro_params(), x, *labels, 0.5)
 
 
 class TestAblationWeights:
@@ -411,6 +446,19 @@ class TestAblationWeights:
         _, grads_attr = loss_and_grads(params, x, labels_id, labels_ag, 0.0)
         assert np.all(grads_attr["cls_id.w"] == 0.0)
         assert np.any(grads_attr["conv1.w"] != 0.0)  # backbone still learns
+
+    def test_endpoint_weight_silences_other_head_across_chunks(self, micro_chunks):
+        params = micro_params()
+        x = np.random.default_rng(6).normal(size=(3, 1, 8, 10))
+        labels_id = np.array([0, 1, 1])
+        labels_ag = np.array([0, 2, 1])
+        _, grads_domain = loss_and_grads(params, x, labels_id, labels_ag, 1.0)
+        for name in ("cls_ag.w", "cls_ag.b", "head.w", "head.b", "head.g"):
+            assert np.all(grads_domain[name] == 0.0), name
+        _, grads_attr = loss_and_grads(params, x, labels_id, labels_ag, 0.0)
+        for name in ("cls_id.w", "cls_id.b"):
+            assert np.all(grads_attr[name] == 0.0), name
+        assert np.any(grads_attr["conv1.w"] != 0.0)
 
 
 class TestBackward:
@@ -448,14 +496,11 @@ class TestBackward:
         assert len(seen) == 12
         assert [entry for entry in seen if not entry[2]] == []
 
-    def test_training_step_memory_stays_bounded(self):
-        # One default-size step peaks near 101 MB. The input gradient as the
-        # forward GEMM on a (9*O, B*H*W) column matrix of dout took it to 141 MB;
-        # copying the 9x input windows for the weight gradient, or conv1's input
-        # gradient, to 230 MB.
+    @staticmethod
+    def _step_peak(n_frames):
         rng = np.random.default_rng(9)
         params = init_params(ModelConfig(), 6, 12, rng)
-        x = rng.normal(size=(32, 1, 128, 63))
+        x = rng.normal(size=(32, 1, 128, n_frames))
         labels = np.arange(32)
         tracemalloc.start()
         try:
@@ -463,4 +508,17 @@ class TestBackward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 120e6, f"peak {peak / 1e6:.0f} MB"
+        return peak
+
+    def test_training_step_memory_stays_bounded(self):
+        # One default-size step, in chunks of 12 clips, peaks near 39 MB. As one
+        # 32-clip batch it peaked at 101 MB; with the input gradient as the
+        # forward GEMM on a (9*O, B*H*W) column matrix of dout, at 141 MB.
+        peak = self._step_peak(63)
+        assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_training_step_memory_stays_bounded_at_dcase_size(self):
+        # 32 clips at 128x313 peak near 33 MB in chunks of two clips; as one
+        # batch they peaked at 506 MB.
+        peak = self._step_peak(313)
+        assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"

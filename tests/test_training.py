@@ -106,6 +106,11 @@ class TestTrain:
         matrices, labels = separable_corpus(n_per_class=2)
         with pytest.raises(TrainingError, match="label"):
             train(matrices, labels, labels, 1, 2, MICRO)  # ids exceed n_sections
+        negative = labels - 1  # in range above, -1 below
+        with pytest.raises(TrainingError, match="label"):
+            train(matrices, negative, labels, 2, 2, MICRO)
+        with pytest.raises(TrainingError, match="label"):
+            train(matrices, labels, negative, 2, 2, MICRO)
 
 
 def test_training_log_csv(tmp_path):
