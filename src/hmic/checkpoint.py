@@ -117,7 +117,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, str]:
     """Returns (tensors, config dict, digest hex)."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     view = memoryview(raw)
     offset = 0
 

@@ -17,10 +17,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--jobs", type=int, help="parallel feature-extraction workers")
     parser.add_argument("--scoring", choices=("agc", "dc"), help="scoring mode")
-    parser.add_argument(
-        "--ablation", choices=("hmic", "domain_only", "attribute_only"),
-        help="training mode (single-head ablations or the full dual-head model)",
-    )
     parser.add_argument("--pauc-p", type=float, help="partial-AUC false-positive-rate cap")
 
 
@@ -30,7 +26,6 @@ def _load_config(args) -> RunConfig:
         seed=args.seed,
         jobs=args.jobs,
         scoring_mode=getattr(args, "scoring", None),
-        ablation=getattr(args, "ablation", None),
         pauc_p=getattr(args, "pauc_p", None),
     )
 

@@ -1,9 +1,11 @@
 """Run configuration: one dataclass tying the pipeline stages together.
 
 The semantic digest covers exactly the fields that determine checkpoint
-content (front end, model, training, centre fitting, ablation, seed); scoring
-mode and the pAUC fraction are score/eval-time knobs and excluded, so one
-checkpoint serves both scoring variants.
+content (front end, model, training, centre shrinkage, seed); the scoring
+mode, the pAUC fraction and the worker count are score/eval-time knobs and
+excluded, so one checkpoint serves both scoring variants. The single-head
+ablations are the endpoints 1.0 (domain_only) and 0.0 (attribute_only) of
+``model.id_loss_weight``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from pathlib import Path
 from .checkpoint import config_digest, from_dict, to_dict
 from .dsp import DspConfig
 from .errors import HmicError
-from .model import ABLATIONS, ModelConfig
-from .scoring import COVARIANCE_MODES
+from .model import ModelConfig
 from .training import TrainConfig
 
 SCORING_MODES = ("agc", "dc")
@@ -32,27 +33,18 @@ class RunConfig:
     dsp: DspConfig = field(default_factory=DspConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    ablation: str = "hmic"
-    covariance_mode: str = "per_group"
-    shrinkage: float | None = None  # absolute diagonal shrinkage override
-    shrinkage_rel: float = 1e-3  # trace-scaled shrinkage factor when no override
+    shrinkage_rel: float = 1e-3  # centre shrinkage: this factor times trace/d
     scoring_mode: str = "agc"
     pauc_p: float = 0.1
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.ablation not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}")
-        if self.covariance_mode not in COVARIANCE_MODES:
-            raise ConfigError(f"unknown covariance mode {self.covariance_mode!r}")
         if self.scoring_mode not in SCORING_MODES:
             raise ConfigError(f"unknown scoring mode {self.scoring_mode!r}")
         if not 0.0 < self.pauc_p <= 1.0:
             raise ConfigError(f"pauc_p must be in (0, 1], got {self.pauc_p}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shrinkage is not None and not self.shrinkage > 0.0:
-            raise ConfigError(f"shrinkage must be > 0 or null, got {self.shrinkage}")
         if not self.shrinkage_rel > 0.0:
             raise ConfigError(f"shrinkage_rel must be > 0, got {self.shrinkage_rel}")
 
@@ -68,7 +60,6 @@ class RunConfig:
         seed: int | None = None,
         jobs: int | None = None,
         scoring_mode: str | None = None,
-        ablation: str | None = None,
         pauc_p: float | None = None,
     ) -> "RunConfig":
         config = self
@@ -78,8 +69,6 @@ class RunConfig:
             config = replace(config, jobs=jobs)
         if scoring_mode is not None:
             config = replace(config, scoring_mode=scoring_mode)
-        if ablation is not None:
-            config = replace(config, ablation=ablation)
         if pauc_p is not None:
             config = replace(config, pauc_p=pauc_p)
         return config
@@ -88,7 +77,7 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         return from_dict(RunConfig, data)

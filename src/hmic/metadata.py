@@ -303,33 +303,42 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
             )
 
 
+def read_csv_rows(
+    path: Path, columns: tuple[str, ...], what: str, error: type[HmicError]
+) -> list[tuple[int, list[str]]]:
+    """(row number, fields) of each non-blank row under the header ``columns``.
+    An unreadable or non-UTF-8 file, another header or a row of another width
+    raises ``error``."""
+    try:
+        with path.open("r", newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle)) or [None]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    if header is None or tuple(header) != columns:
+        raise error(f"{path}: expected header {','.join(columns)}, got {header}")
+    numbered = [(row_num, row) for row_num, row in enumerate(rows, start=2) if row]
+    for row_num, row in numbered:
+        if len(row) != len(columns):
+            raise error(f"{path}:{row_num}: expected {len(columns)} fields")
+    return numbered
+
+
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     path = Path(path)
     entries: list[ManifestEntry] = []
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != MANIFEST_COLUMNS:
-            raise ManifestError(
-                f"{path}: expected header {','.join(MANIFEST_COLUMNS)}, got {header}"
+    for row_num, row in read_csv_rows(path, MANIFEST_COLUMNS, "manifest", ManifestError):
+        clip_id, clip_path, machine, section, domain, split, condition, attrs = row
+        try:
+            meta = ClipMeta(
+                clip_id=clip_id,
+                machine_type=machine,
+                section_id=int(section),
+                domain=domain,
+                split=split,
+                condition=condition,
+                attributes=parse_attribute_field(attrs),
             )
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise ManifestError(f"{path}:{row_num}: expected {len(MANIFEST_COLUMNS)} fields")
-            clip_id, clip_path, machine, section, domain, split, condition, attrs = row
-            try:
-                meta = ClipMeta(
-                    clip_id=clip_id,
-                    machine_type=machine,
-                    section_id=int(section),
-                    domain=domain,
-                    split=split,
-                    condition=condition,
-                    attributes=parse_attribute_field(attrs),
-                )
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{row_num}: {exc}") from exc
-            entries.append(ManifestEntry(meta=meta, path=clip_path))
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{row_num}: {exc}") from exc
+        entries.append(ManifestEntry(meta=meta, path=clip_path))
     return entries

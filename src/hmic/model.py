@@ -9,14 +9,12 @@ cross-entropy losses combine as ``w * id_loss + (1 - w) * group_loss``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .errors import HmicError
-
-ABLATIONS = ("hmic", "domain_only", "attribute_only")
 
 # Input pixels (clips x n_mels x frames) per chunk of inference and of each
 # training step: 12 clips at 128x63, 2 at 128x313. Per-clip forward cost (one
@@ -37,8 +35,9 @@ class ModelError(HmicError, ValueError):
 class ModelConfig:
     channels: tuple[int, int, int] = (8, 16, 64)
     head_channels: int = 64
-    id_loss_weight: float = 0.5  # weight on the section-ID loss, in [0, 1]
-    id_loss_weight_by_machine: dict[str, float] = field(default_factory=dict)
+    # Weight on the section-ID loss, in [0, 1]. The single-head ablations are
+    # its endpoints: 1.0 trains domain_only, 0.0 attribute_only.
+    id_loss_weight: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.id_loss_weight <= 1.0:
@@ -54,9 +53,6 @@ class ModelConfig:
     @property
     def feat_high_dim(self) -> int:
         return self.head_channels
-
-    def weight_for(self, machine_type: str) -> float:
-        return float(self.id_loss_weight_by_machine.get(machine_type, self.id_loss_weight))
 
 
 @dataclass
@@ -78,17 +74,6 @@ class LossBreakdown:
     loss_id: float
     loss_ag: float
     loss_total: float
-
-
-def effective_id_weight(id_loss_weight: float, ablation: str) -> float:
-    """Single-head ablations are endpoint settings of the mixing weight."""
-    if ablation == "hmic":
-        return id_loss_weight
-    if ablation == "domain_only":
-        return 1.0
-    if ablation == "attribute_only":
-        return 0.0
-    raise ModelError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
 
 
 def init_params(

@@ -5,7 +5,8 @@ scoring refuses to run against a checkpoint built from a different config.
 Features are cached (and always routed through the f32 cache precision, so
 cached and fresh runs produce bit-identical results). A cache entry is keyed by
 what a log-Mel depends on, the front-end config and the WAV's bytes, so runs
-that differ only in model, training or ablation settings share extraction, and
+that differ only in model or training settings (the ID-loss weight, whose
+endpoints are the single-head ablations, included) share extraction, and
 corpora that reuse clip IDs never share entries.
 
 Scoring caches each test clip's embedding (``feat_high``) next to its log-Mel,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +35,8 @@ from .checkpoint import config_digest, load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
-from .metadata import ManifestEntry, assign_labels, build_label_space, read_manifest
+from .metadata import (ManifestEntry, assign_labels, build_label_space, read_csv_rows,
+                       read_manifest)
 from .model import ModelConfig, ModelParams, forward_features, init_params
 from .training import train, write_training_log
 
@@ -198,26 +201,15 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
             n_groups=space.n_groups,
             model_config=config.model,
             train_config=config.train,
-            ablation=config.ablation,
-            id_loss_weight=config.model.weight_for(machine),
         )
         write_training_log(workdir / f"train_log_{machine}.csv", log)
 
         embeddings = forward_features(params, inputs)
         sections = np.array([e.meta.section_id for e in own])
-        agc = scoring.fit_agc(
-            embeddings.feat_high, labels_ag, sections,
-            covariance_mode=config.covariance_mode, shrinkage=config.shrinkage,
-            shrinkage_rel=config.shrinkage_rel,
-        )
-        dc = scoring.fit_dc(
-            embeddings.feat_high,
-            np.array([e.meta.domain for e in own]),
-            sections,
-            covariance_mode=config.covariance_mode,
-            shrinkage=config.shrinkage,
-            shrinkage_rel=config.shrinkage_rel,
-        )
+        agc = scoring.fit_agc(embeddings.feat_high, labels_ag, sections,
+                              shrinkage_rel=config.shrinkage_rel)
+        dc = scoring.fit_dc(embeddings.feat_high, np.array([e.meta.domain for e in own]),
+                            sections, shrinkage_rel=config.shrinkage_rel)
         for name, value in params.tensors.items():
             tensors[f"{machine}/param/{name}"] = value
         tensors.update(scoring.centre_model_to_tensors(agc, f"{machine}/agc"))
@@ -345,30 +337,24 @@ def run_score(
 
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
-    """clip_id -> score; raises on error rows (blank scores), unparsable
-    scores and a clip_id that appears twice."""
+    """clip_id -> score; raises on an unreadable file, error rows (blank
+    scores), unparsable or non-finite scores and a clip_id that appears twice."""
     path = Path(path)
     scores: dict[str, float] = {}
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != SCORE_COLUMNS:
-            raise PipelineError(f"{path}: expected header {','.join(SCORE_COLUMNS)}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCORE_COLUMNS):
-                raise PipelineError(f"{path}:{row_num}: expected {len(SCORE_COLUMNS)} fields")
-            clip_id, _section, score, _argmin = row
-            if score == "":
-                raise PipelineError(f"{path}: clip {clip_id!r} has an error row; "
-                                    f"re-run scoring successfully before eval")
-            if clip_id in scores:
-                raise PipelineError(f"{path}:{row_num}: clip {clip_id!r} scored twice")
-            try:
-                scores[clip_id] = float(score)
-            except ValueError:
-                raise PipelineError(f"{path}:{row_num}: score {score!r} is not a number") from None
+    for row_num, row in read_csv_rows(path, SCORE_COLUMNS, "scores", PipelineError):
+        clip_id, _section, score, _argmin = row
+        if score == "":
+            raise PipelineError(f"{path}: clip {clip_id!r} has an error row; "
+                                f"re-run scoring successfully before eval")
+        if clip_id in scores:
+            raise PipelineError(f"{path}:{row_num}: clip {clip_id!r} scored twice")
+        try:
+            value = float(score)
+        except ValueError:
+            raise PipelineError(f"{path}:{row_num}: score {score!r} is not a number") from None
+        if not math.isfinite(value):
+            raise PipelineError(f"{path}:{row_num}: score {score!r} is not finite")
+        scores[clip_id] = value
     return scores
 
 

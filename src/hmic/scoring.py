@@ -18,7 +18,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import HmicError
 
-COVARIANCE_MODES = ("per_group", "per_section_pooled")
 DOMAIN_INDEX = {"source": 0, "target": 1}
 
 
@@ -79,7 +78,6 @@ def _fit(
     labels: np.ndarray,
     sections: np.ndarray,
     kind: str,
-    covariance_mode: str,
     shrinkage: float | None,
     shrinkage_rel: float = DEFAULT_SHRINKAGE_REL,
 ) -> CentreModel:
@@ -92,41 +90,18 @@ def _fit(
         raise ScoringError("labels and sections must be 1-D and match the feature count")
     if not np.all(np.isfinite(feats)):
         raise ScoringError("non-finite feature values")
-    if covariance_mode not in COVARIANCE_MODES:
-        raise ScoringError(f"unknown covariance mode {covariance_mode!r}")
 
     groups_by_section: dict[int, tuple[GroupCentre, ...]] = {}
     for section in sorted(set(int(s) for s in sections)):
         in_section = sections == section
-        section_labels = sorted(set(int(l) for l in labels[in_section]))
-        stats = []
-        pooled_dev_sq = np.zeros((feats.shape[1], feats.shape[1]))
-        pooled_n = 0
-        for label in section_labels:
+        groups = []
+        for label in sorted(set(int(l) for l in labels[in_section])):
             members = feats[in_section & (labels == label)]
-            if members.shape[0] == 0:
-                raise ScoringError(f"group {label} under section {section} has zero clips")
             centre = members.mean(axis=0)
-            devs = members - centre
-            cov = _population_cov(devs)
-            stats.append((label, centre, cov, members.shape[0]))
-            pooled_dev_sq += devs.T @ devs
-            pooled_n += members.shape[0]
-        if covariance_mode == "per_section_pooled":
-            pooled = 0.5 * (pooled_dev_sq + pooled_dev_sq.T) / pooled_n
-            eps = _shrink_eps(pooled, shrinkage, shrinkage_rel)
-            factor = _factor(pooled, eps)
-            groups = tuple(
-                GroupCentre(label, centre, pooled, eps, n, factor)
-                for label, centre, _, n in stats
-            )
-        else:
-            groups = []
-            for label, centre, cov, n in stats:
-                eps = _shrink_eps(cov, shrinkage, shrinkage_rel)
-                groups.append(GroupCentre(label, centre, cov, eps, n, _factor(cov, eps)))
-            groups = tuple(groups)
-        groups_by_section[section] = groups
+            cov = _population_cov(members - centre)
+            eps = _shrink_eps(cov, shrinkage, shrinkage_rel)
+            groups.append(GroupCentre(label, centre, cov, eps, len(members), _factor(cov, eps)))
+        groups_by_section[section] = tuple(groups)
     return CentreModel(kind=kind, groups_by_section=groups_by_section)
 
 
@@ -134,19 +109,17 @@ def fit_agc(
     feats: np.ndarray,
     group_labels: np.ndarray,
     sections: np.ndarray,
-    covariance_mode: str = "per_group",
     shrinkage: float | None = None,
     shrinkage_rel: float = DEFAULT_SHRINKAGE_REL,
 ) -> CentreModel:
     """Attribute-group centres: one centre/covariance per group label."""
-    return _fit(feats, group_labels, sections, "agc", covariance_mode, shrinkage, shrinkage_rel)
+    return _fit(feats, group_labels, sections, "agc", shrinkage, shrinkage_rel)
 
 
 def fit_dc(
     feats: np.ndarray,
     domains: np.ndarray,
     sections: np.ndarray,
-    covariance_mode: str = "per_group",
     shrinkage: float | None = None,
     shrinkage_rel: float = DEFAULT_SHRINKAGE_REL,
 ) -> CentreModel:
@@ -155,7 +128,7 @@ def fit_dc(
         labels = np.array([DOMAIN_INDEX[d] for d in domains])
     except KeyError as exc:
         raise ScoringError(f"unknown domain {exc.args[0]!r}") from None
-    return _fit(feats, labels, sections, "dc", covariance_mode, shrinkage, shrinkage_rel)
+    return _fit(feats, labels, sections, "dc", shrinkage, shrinkage_rel)
 
 
 def mahalanobis(feat: np.ndarray, centre: np.ndarray, solve) -> float:

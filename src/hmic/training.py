@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HmicError
-from .model import ModelConfig, ModelParams, effective_id_weight, init_params, loss_and_grads
+from .model import ModelConfig, ModelParams, init_params, loss_and_grads
 
 
 class TrainingError(HmicError, ValueError):
@@ -81,8 +81,6 @@ def train(
     n_groups: int,
     model_config: ModelConfig = ModelConfig(),
     train_config: TrainConfig = TrainConfig(),
-    ablation: str = "hmic",
-    id_loss_weight: float | None = None,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Train on normal clips only; returns final params and the per-epoch log.
 
@@ -104,9 +102,6 @@ def train(
     if labels_id.max() >= n_sections or labels_ag.max() >= n_groups:
         raise TrainingError("labels exceed the declared label-space sizes")
 
-    weight = model_config.id_loss_weight if id_loss_weight is None else id_loss_weight
-    weight = effective_id_weight(weight, ablation)
-
     init_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 0]))
     batch_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
     params = init_params(model_config, n_sections, n_groups, init_rng)
@@ -120,7 +115,8 @@ def train(
         for batch, start in enumerate(range(0, n_clips, train_config.batch_size)):
             idx = order[start : start + train_config.batch_size]
             breakdown, grads = loss_and_grads(
-                params, features[idx], labels_id[idx], labels_ag[idx], weight
+                params, features[idx], labels_id[idx], labels_ag[idx],
+                model_config.id_loss_weight,
             )
             if not np.isfinite(breakdown.loss_total):
                 raise TrainingError(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from hmic.checkpoint import (
     to_dict,
 )
 from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, save_run_config
+from hmic.datagen import AnomalySpec, AttributeSpec
 from hmic.dsp import DspConfig
-from hmic.model import ABLATIONS, ModelConfig
-from hmic.scoring import COVARIANCE_MODES
+from hmic.model import ModelConfig
 from hmic.training import TrainConfig
+
+from conftest import make_tiny_spec
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
@@ -39,7 +42,6 @@ run_configs = st.builds(
         channels=st.tuples(*[st.integers(1, 128)] * 3),
         head_channels=st.integers(1, 128),
         id_loss_weight=st.floats(0.0, 1.0),
-        id_loss_weight_by_machine=st.dictionaries(st.text(max_size=6), st.floats(0.0, 1.0)),
     ),
     train=st.builds(
         TrainConfig,
@@ -52,9 +54,6 @@ run_configs = st.builds(
         adam_eps=finite,
         seed=st.integers(0, 2**63),
     ),
-    ablation=st.sampled_from(ABLATIONS),
-    covariance_mode=st.sampled_from(COVARIANCE_MODES),
-    shrinkage=st.none() | positive,
     shrinkage_rel=positive,
     scoring_mode=st.sampled_from(SCORING_MODES),
     pauc_p=st.floats(0.0, 1.0, exclude_min=True),
@@ -139,25 +138,23 @@ class TestRunConfig:
         assert base.with_overrides(pauc_p=0.5).semantic_digest() == base.semantic_digest()
         assert base.with_overrides(jobs=4).semantic_digest() == base.semantic_digest()
         assert base.with_overrides(seed=99).semantic_digest() != base.semantic_digest()
-        assert base.with_overrides(ablation="domain_only").semantic_digest() != base.semantic_digest()
+        weighted = replace(base, model=replace(base.model, id_loss_weight=1.0))
+        assert weighted.semantic_digest() != base.semantic_digest()
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(ablation="nope")
+            RunConfig(scoring_mode="nope")
         with pytest.raises(ConfigError):
             RunConfig(pauc_p=0.0)
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
-        for shrinkage in (0.0, -1e-3, float("nan")):
-            with pytest.raises(ConfigError, match="shrinkage"):
-                RunConfig(shrinkage=shrinkage)
         for shrinkage_rel in (0.0, -1e-3, float("nan")):
             with pytest.raises(ConfigError, match="shrinkage_rel"):
                 RunConfig(shrinkage_rel=shrinkage_rel)
 
     def test_default_semantic_digest_is_pinned(self):
         assert RunConfig().semantic_digest() == (
-            "b24c89b13b189fb073b58df4c99342329ca26f304b07437a881d0187601bec58"
+            "2a3ab9808c1dbb0201500a9ddbd1e292acdb9d7db03f5fce8dde6cb1d29b28b9"
         )
 
     @settings(max_examples=60, deadline=None)
@@ -177,19 +174,36 @@ class TestRunConfig:
             {"train": {"epochs": 2.0}},
             {"dsp": {"standardize": 1}},
             {"model": {"channels": [8, 16, "64"]}},
-            {"model": {"id_loss_weight_by_machine": {"fan": "0.3"}}},
-            {"shrinkage": "0.1"},
-            {"ablation": None},
+            {"model": {"id_loss_weight": "0.3"}},
+            {"shrinkage_rel": "0.1"},
+            {"scoring_mode": None},
         ],
     )
     def test_wrong_leaf_type_rejected(self, data):
         with pytest.raises(TypeError, match="expected"):
             from_dict(RunConfig, data)
 
+    @pytest.mark.parametrize(
+        ("cls", "fields"),
+        [
+            (AnomalySpec, {"detune_attr": 3}),
+            (AttributeSpec, {"jitter_scale_by_value": {"A": "0.3"}}),
+            (AttributeSpec, {"tones_hz": {"A": [600.0, "900"]}}),
+        ],
+    )
+    def test_wrong_type_inside_a_dict_or_optional_field_rejected(self, cls, fields):
+        """A dict value or an ``X | None`` field of a spec JSON must match its hint too."""
+        base = {}
+        if cls is AttributeSpec:
+            base = to_dict(make_tiny_spec().machines[0].sections[0].attributes[0])
+        from_dict(cls, base)  # the rest of the object is valid
+        with pytest.raises(TypeError, match="expected"):
+            from_dict(cls, {**base, **fields})
+
     def test_int_for_float_field_is_kept_unchanged(self):
-        config = from_dict(RunConfig, {"train": {"learning_rate": 1}, "shrinkage": 2})
-        assert type(config.train.learning_rate) is int and config.shrinkage == 2
-        assert from_dict(RunConfig, {"shrinkage": None}).shrinkage is None
+        config = from_dict(RunConfig, {"train": {"learning_rate": 1}, "shrinkage_rel": 2})
+        assert type(config.train.learning_rate) is int and config.shrinkage_rel == 2
+        assert from_dict(AnomalySpec, {"detune_attr": None}).detune_attr is None
 
     def test_wrong_leaf_type_in_file_is_config_error(self, tmp_path):
         path = tmp_path / "typed.json"

@@ -9,9 +9,10 @@ import pytest
 from hmic import dsp, pipeline
 from hmic.checkpoint import load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
+from hmic.config import ConfigError, load_run_config
 from hmic.datagen import generate
-from hmic.metadata import read_manifest, write_manifest
-from hmic.pipeline import extract_features, read_scores_csv, run_train
+from hmic.metadata import ManifestError, read_manifest, write_manifest
+from hmic.pipeline import PipelineError, extract_features, read_scores_csv, run_train
 
 from conftest import make_tiny_config, make_tiny_spec
 
@@ -114,8 +115,12 @@ class TestTrain:
         ("train", "epochs", -1),
         ("model", "channels", [0, 8, 16]),
         ("model", "head_channels", 0),
-        (None, "shrinkage", 0.0),
         (None, "shrinkage_rel", -1e-3),
+        # settings that no longer exist: an old config naming one is refused
+        (None, "ablation", "domain_only"),
+        (None, "covariance_mode", "per_group"),
+        (None, "shrinkage", 0.1),
+        ("model", "id_loss_weight_by_machine", {"gizmo": 1.0}),
     ])
     def test_out_of_range_config_fails_before_training(self, tiny_corpus, tmp_path, capsys,
                                                        section, field, value):
@@ -245,7 +250,8 @@ class TestEval:
                        "--out", tmp_path / "r.json")
         assert code == 2
 
-    @pytest.mark.parametrize("fault", ["every_other_clip", "duplicate_row", "bad_number"])
+    @pytest.mark.parametrize("fault", ["every_other_clip", "duplicate_row", "bad_number",
+                                       "nan", "inf", "-inf"])
     def test_scores_must_cover_each_test_clip_once(self, scores_csv, tmp_path, capsys,
                                                    fault):
         manifest, scores = scores_csv
@@ -256,7 +262,8 @@ class TestEval:
             rows = rows + rows[:1]
         else:
             clip_id, section, _, argmin = rows[0].split(",")
-            rows[0] = f"{clip_id},{section},high,{argmin}"
+            score = "high" if fault == "bad_number" else fault
+            rows[0] = f"{clip_id},{section},{score},{argmin}"
         mangled = tmp_path / "mangled.csv"
         mangled.write_text("\n".join([header, *rows]) + "\n")
         report_path = tmp_path / "r.json"
@@ -266,6 +273,8 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not report_path.exists()
+        if fault not in ("every_other_clip", "duplicate_row"):
+            assert f"{mangled}:2: score '{score}' is not" in err
 
     def test_pauc_p_one_collapses_to_auc(self, scores_csv, tmp_path):
         manifest, scores = scores_csv
@@ -382,7 +391,6 @@ class TestFeatureCacheKey:
         assert log_mel_calls
         variants = (
             base.with_overrides(seed=8),
-            base.with_overrides(ablation="domain_only"),
             replace(base, model=replace(base.model, id_loss_weight=0.25)),
             replace(base, dsp=replace(base.dsp, standardize=not base.dsp.standardize)),
         )
@@ -651,6 +659,49 @@ class TestCheckpointTrust:
             rows = {r["clip_id"]: r["score"] for r in csv.DictReader(handle)}
         assert rows.pop(victim.meta.clip_id) == "" and all(rows.values())
         assert "unknown machine type 'widget'" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """A named input file that is missing or not UTF-8 is one error line, exit 2."""
+
+    def _run(self, trained, tmp_path, config_path, **inputs):
+        """``hmic score`` for a checkpoint or manifest input, else ``hmic eval``."""
+        _, manifest, checkpoint, _ = trained
+        if "scores" in inputs or "config" in inputs:
+            scores = inputs.get("scores", tmp_path / "unused.csv")
+            return run_cli("eval", "--scores", scores, "--manifest", manifest,
+                           "--out", tmp_path / "report.json",
+                           "--config", inputs.get("config", config_path))
+        return run_cli("score", "--checkpoint", inputs.get("checkpoint", checkpoint),
+                       "--manifest", inputs.get("manifest", manifest),
+                       "--out", tmp_path / "scores.csv", "--config", config_path)
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "scores"])
+    def test_a_missing_file_is_one_line_error(self, trained, tmp_path, tiny_config_path,
+                                              capsys, kind):
+        missing = tmp_path / f"missing.{kind}"
+        code = self._run(trained, tmp_path, tiny_config_path, **{kind: missing})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot read {kind} {missing}" in err
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize("kind,error,read", [
+        ("manifest", ManifestError, read_manifest),
+        ("scores", PipelineError, read_scores_csv),
+        ("config", ConfigError, load_run_config),
+    ])
+    def test_a_non_utf8_file_is_one_line_error(self, trained, tmp_path, tiny_config_path,
+                                               capsys, kind, error, read):
+        utf16 = tmp_path / f"utf16.{kind}"
+        utf16.write_bytes(b"\xff\xfe" + "clip_id,path".encode("utf-16-le"))
+        with pytest.raises(error, match=f"cannot read {kind} {utf16}: 'utf-8' codec"):
+            read(utf16)
+        code = self._run(trained, tmp_path, tiny_config_path, **{kind: utf16})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(utf16) in err
 
 
 class TestPipelineCommand:

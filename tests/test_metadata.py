@@ -279,6 +279,15 @@ class TestManifest:
         path.write_text("not,a,header\n")
         with pytest.raises(ManifestError, match="header"):
             read_manifest(path)
+        path.write_text("")
+        with pytest.raises(ManifestError, match="header"):
+            read_manifest(path)
+
+    def test_oversized_field_is_manifest_error(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("x" * 200_000 + "\n")  # past the csv module's field size limit
+        with pytest.raises(ManifestError, match="cannot read manifest"):
+            read_manifest(path)
 
     def test_separator_in_attribute_rejected(self, tmp_path):
         entry = ManifestEntry(meta=make_clip(attrs=[("a", "1;2")]), path="x.wav")

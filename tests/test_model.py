@@ -13,7 +13,6 @@ from hmic.model import (
     FeaturePair,
     ModelConfig,
     ModelError,
-    effective_id_weight,
     forward_features,
     init_params,
     loss,
@@ -427,13 +426,6 @@ class TestLoss:
 
 
 class TestAblationWeights:
-    def test_mapping(self):
-        assert effective_id_weight(0.4, "hmic") == 0.4
-        assert effective_id_weight(0.4, "domain_only") == 1.0
-        assert effective_id_weight(0.4, "attribute_only") == 0.0
-        with pytest.raises(ModelError):
-            effective_id_weight(0.4, "sideways")
-
     def test_endpoint_weight_silences_other_head(self):
         params = micro_params()
         rng = np.random.default_rng(6)

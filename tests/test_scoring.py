@@ -215,23 +215,6 @@ class TestScoreDc:
             fit_dc(np.zeros((1, 2)), np.array(["sideways"]), np.zeros(1, int))
 
 
-class TestPooledCovariance:
-    def test_groups_share_the_pooled_within_group_covariance(self):
-        rng = np.random.default_rng(6)
-        feats = np.concatenate([rng.normal(size=(10, 2)), 5 + rng.normal(size=(6, 2))])
-        labels = np.array([0] * 10 + [1] * 6)
-        sections = np.zeros(16, int)
-        model = fit_simple(feats, labels, sections, covariance_mode="per_section_pooled")
-        g0, g1 = model.groups_by_section[0]
-        np.testing.assert_array_equal(g0.covariance, g1.covariance)
-        # oracle: pooled within-group scatter / total count
-        c0 = feats[:10].mean(axis=0)
-        c1 = feats[10:].mean(axis=0)
-        dev = np.concatenate([feats[:10] - c0, feats[10:] - c1])
-        pooled = dev.T @ dev / 16
-        np.testing.assert_allclose(g0.covariance, pooled, rtol=1e-12)
-
-
 class TestTensorRoundTrip:
     def test_centre_model_survives_serialization(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,8 +75,8 @@ class TestTrain:
     def test_domain_only_leaves_group_head_at_init(self):
         matrices, labels = separable_corpus()
         config = TrainConfig(epochs=2, batch_size=8, seed=3)
-        params, log = train(matrices, labels, labels, 2, 2, MICRO, config,
-                            ablation="domain_only")
+        params, log = train(matrices, labels, labels, 2, 2,
+                            replace(MICRO, id_loss_weight=1.0), config)
         init = init_params(MICRO, 2, 2, np.random.default_rng(np.random.SeedSequence([3, 0])))
         np.testing.assert_array_equal(params.tensors["cls_ag.w"], init.tensors["cls_ag.w"])
         np.testing.assert_array_equal(params.tensors["head.w"], init.tensors["head.w"])
@@ -85,8 +86,8 @@ class TestTrain:
     def test_attribute_only_leaves_id_head_at_init(self):
         matrices, labels = separable_corpus()
         config = TrainConfig(epochs=2, batch_size=8, seed=3)
-        params, log = train(matrices, labels, labels, 2, 2, MICRO, config,
-                            ablation="attribute_only")
+        params, log = train(matrices, labels, labels, 2, 2,
+                            replace(MICRO, id_loss_weight=0.0), config)
         init = init_params(MICRO, 2, 2, np.random.default_rng(np.random.SeedSequence([3, 0])))
         np.testing.assert_array_equal(params.tensors["cls_id.w"], init.tensors["cls_id.w"])
         assert not np.array_equal(params.tensors["conv1.w"], init.tensors["conv1.w"])
