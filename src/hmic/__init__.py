@@ -6,8 +6,8 @@ minimum Mahalanobis distance to attribute-group centres.
 """
 
 from .config import RunConfig
-from .dsp import DspConfig, LogMelSpectrogram, Waveform, log_mel
-from .evaluation import EvalReport, ScoredClip, auc, build_report, harmonic_total, pauc
+from .dsp import Waveform, log_mel
+from .evaluation import EvalReport, ScoredClip, auc, build_report, harmonic_total
 from .metadata import (
     AttributeGroupKey,
     ClipMeta,
@@ -26,11 +26,9 @@ __all__ = [
     "AttributeGroupKey",
     "CentreModel",
     "ClipMeta",
-    "DspConfig",
     "EvalReport",
     "FeaturePair",
     "LabelSpace",
-    "LogMelSpectrogram",
     "LossBreakdown",
     "ModelConfig",
     "ModelParams",
@@ -51,7 +49,6 @@ __all__ = [
     "log_mel",
     "mahalanobis",
     "parse_dcase_filename",
-    "pauc",
     "score_agc",
     "score_dc",
     "train",

@@ -1,11 +1,12 @@
 """Run configuration: one dataclass tying the pipeline stages together.
 
 The semantic digest covers exactly the fields that determine checkpoint
-content (front end, model, training, centre shrinkage, seed); the scoring
-mode, the pAUC fraction and the worker count are score/eval-time knobs and
-excluded, so one checkpoint serves both scoring variants. The single-head
-ablations are the endpoints 1.0 (domain_only) and 0.0 (attribute_only) of
-``model.id_loss_weight``.
+content (model, training, seed); the scoring mode, the pAUC fraction and the
+worker count are score/eval-time knobs and excluded, so one checkpoint serves
+both scoring variants. The single-head ablations are the endpoints 1.0
+(domain_only) and 0.0 (attribute_only) of ``model.id_loss_weight``. The front
+end, the Adam and schedule constants and the centre shrinkage are fixed
+conventions of ``dsp``, ``training`` and ``scoring``, not settings.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .checkpoint import config_digest, from_dict, to_dict
-from .dsp import DspConfig
 from .errors import HmicError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -30,10 +30,8 @@ class ConfigError(HmicError, ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    dsp: DspConfig = field(default_factory=DspConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    shrinkage_rel: float = 1e-3  # centre shrinkage: this factor times trace/d
     scoring_mode: str = "agc"
     pauc_p: float = 0.1
     jobs: int = 1
@@ -45,8 +43,6 @@ class RunConfig:
             raise ConfigError(f"pauc_p must be in (0, 1], got {self.pauc_p}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if not self.shrinkage_rel > 0.0:
-            raise ConfigError(f"shrinkage_rel must be > 0, got {self.shrinkage_rel}")
 
     def semantic_dict(self) -> dict:
         """The sub-config that determines what a trained checkpoint contains."""

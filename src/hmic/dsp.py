@@ -1,9 +1,10 @@
 """Waveform-to-log-Mel front end, WAV I/O, and the on-disk feature cache.
 
-Fixed conventions: 16 kHz mono 16-bit PCM input, 1024-sample frames with 50%
-overlap (periodic Hann window, zero end-padding so a 10 s clip gives exactly
-313 frames), 128 triangular mel filters on the HTK mel scale over 0..8 kHz,
-natural log with a 1e-10 floor.
+The front end is the DCASE 2022 Task 2 one, fixed as the constants below:
+16 kHz mono 16-bit PCM input, 1024-sample frames with 50% overlap (periodic
+Hann window, zero end-padding so a 10 s clip gives exactly 313 frames), 128
+triangular mel filters on the HTK mel scale over 0..8 kHz, natural log with a
+1e-10 floor. The model sees each log-Mel standardized per clip.
 """
 
 from __future__ import annotations
@@ -23,21 +24,16 @@ from .errors import HmicError
 
 FEATURE_MAGIC = b"HMICFEA1"
 
+SAMPLE_RATE_HZ = 16000
+FRAME_SIZE = 1024
+N_MELS = 128
+F_MIN_HZ = 0.0
+F_MAX_HZ = 8000.0
+FLOOR_EPSILON = 1e-10
+
 
 class DspError(HmicError, ValueError):
-    """Invalid audio input or front-end configuration."""
-
-
-@dataclass(frozen=True)
-class DspConfig:
-    sample_rate_hz: int = 16000
-    frame_size: int = 1024
-    hop: int = 512
-    n_mels: int = 128
-    f_min_hz: float = 0.0
-    f_max_hz: float = 8000.0
-    floor_epsilon: float = 1e-10
-    standardize: bool = True  # per-clip zero-mean/unit-variance before the model
+    """Invalid audio input or front-end parameters."""
 
 
 @dataclass(frozen=True)
@@ -56,11 +52,6 @@ class Waveform:
         object.__setattr__(self, "samples", samples)
 
 
-@dataclass(frozen=True)
-class LogMelSpectrogram:
-    values: np.ndarray  # (n_mels, n_frames)
-
-
 def hz_to_mel(f_hz):
     """HTK mel scale: 2595 * log10(1 + f/700)."""
     return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
@@ -70,18 +61,15 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def stft_power(wave: Waveform, frame_size: int = 1024, hop: int | None = None) -> np.ndarray:
-    """Power spectrogram, shape (frame_size/2 + 1, n_frames).
+def stft_power(wave: Waveform, frame_size: int = FRAME_SIZE) -> np.ndarray:
+    """Power spectrogram, shape (frame_size/2 + 1, n_frames), hop frame_size/2.
 
     n_frames = ceil(len/hop); the signal is zero-padded at the end so every
     hop position yields a full frame.
     """
-    if hop is None:
-        hop = frame_size // 2
     if frame_size % 2 != 0:
         raise DspError(f"frame_size must be even, got {frame_size}")
-    if hop != frame_size // 2:
-        raise DspError(f"hop must be frame_size/2 (50% overlap), got {hop}")
+    hop = frame_size // 2
     samples = wave.samples
     if samples.size < 1:
         raise DspError("cannot transform an empty waveform")
@@ -148,19 +136,16 @@ def mel_centres_hz(n_mels: int, f_min_hz: float, f_max_hz: float) -> np.ndarray:
     return mel_to_hz(grid[1:-1])
 
 
-def log_mel(wave: Waveform, config: DspConfig = DspConfig()) -> LogMelSpectrogram:
-    """log(max(filterbank @ power, floor)); (n_mels, n_frames), natural log."""
-    if wave.sample_rate_hz != config.sample_rate_hz:
+def log_mel(wave: Waveform) -> np.ndarray:
+    """log(max(filterbank @ power, floor)); (N_MELS, n_frames), natural log."""
+    if wave.sample_rate_hz != SAMPLE_RATE_HZ:
         raise DspError(
             f"sample rate mismatch: waveform has {wave.sample_rate_hz} Hz, "
-            f"config expects {config.sample_rate_hz} Hz (resampling unsupported)"
+            f"the front end expects {SAMPLE_RATE_HZ} Hz (resampling unsupported)"
         )
-    power = stft_power(wave, config.frame_size, config.hop)
-    bank = mel_filterbank(
-        power.shape[0], config.n_mels, config.sample_rate_hz, config.f_min_hz, config.f_max_hz
-    )
-    values = np.log(np.maximum(bank @ power, config.floor_epsilon))
-    return LogMelSpectrogram(values=values)
+    power = stft_power(wave)
+    bank = mel_filterbank(power.shape[0], N_MELS, SAMPLE_RATE_HZ, F_MIN_HZ, F_MAX_HZ)
+    return np.log(np.maximum(bank @ power, FLOOR_EPSILON))
 
 
 def standardize(values: np.ndarray) -> np.ndarray:

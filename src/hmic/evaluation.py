@@ -92,15 +92,10 @@ def auc(clips) -> float:
 
 
 def pauc_from_scores(normal: np.ndarray, anomalous: np.ndarray, p: float = 0.1) -> float:
+    """AUC restricted to false-positive rate [0, p], normalized by p."""
     if not 0.0 < p <= 1.0:
         raise UndefinedMetricError(f"p must be in (0, 1], got {p}")
     return _roc_area(normal, anomalous, p)
-
-
-def pauc(clips, p: float = 0.1) -> float:
-    """AUC restricted to false-positive rate [0, p], normalized by p."""
-    normal, anomalous = _split_scores(clips)
-    return pauc_from_scores(normal, anomalous, p)
 
 
 def harmonic_total(cells) -> float:

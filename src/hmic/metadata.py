@@ -324,10 +324,16 @@ def read_csv_rows(
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """The manifest's entries; a clip_id listed twice raises ManifestError,
+    as every stage keys clips by id."""
     path = Path(path)
     entries: list[ManifestEntry] = []
+    seen: set[str] = set()
     for row_num, row in read_csv_rows(path, MANIFEST_COLUMNS, "manifest", ManifestError):
         clip_id, clip_path, machine, section, domain, split, condition, attrs = row
+        if clip_id in seen:
+            raise ManifestError(f"{path}:{row_num}: clip_id {clip_id!r} listed twice")
+        seen.add(clip_id)
         try:
             meta = ClipMeta(
                 clip_id=clip_id,

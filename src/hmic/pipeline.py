@@ -3,19 +3,17 @@
 Stages are re-runnable: the checkpoint embeds the semantic config digest and
 scoring refuses to run against a checkpoint built from a different config.
 Features are cached (and always routed through the f32 cache precision, so
-cached and fresh runs produce bit-identical results). A cache entry is keyed by
-what a log-Mel depends on, the front-end config and the WAV's bytes, so runs
-that differ only in model or training settings (the ID-loss weight, whose
-endpoints are the single-head ablations, included) share extraction, and
-corpora that reuse clip IDs never share entries.
+cached and fresh runs produce bit-identical results). The front end is fixed,
+so a cache entry is keyed by the WAV's sha256 alone: every run shares
+extraction whatever its model or training settings, and corpora that reuse
+clip IDs never share entries. The model sees each log-Mel standardized.
 
 Scoring caches each test clip's embedding (``feat_high``) next to its log-Mel,
 keyed by the WAV's sha256 and by what the forward adds to the log-Mel: the
-machine's parameter tensors (names, shapes, bytes) and ``standardize``. So the
-agc and dc scoring of one checkpoint run the forward once per clip, and a hit
-returns the exact float64 bytes the miss computed. Neither key covers the
-code: an edit to the front end or to the model needs an empty cache, as the
-log-Mel key never covered the DSP code either.
+machine's parameter tensors (names, shapes, bytes). So the agc and dc scoring
+of one checkpoint run the forward once per clip, and a hit returns the exact
+float64 bytes the miss computed. Neither key covers the code: an edit to the
+front end or to the model needs an empty cache.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, scoring
-from .checkpoint import config_digest, load_checkpoint, save_checkpoint, to_dict
+from .checkpoint import load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
@@ -52,12 +50,9 @@ class ConfigMismatchError(PipelineError):
     """Checkpoint was produced under a different semantic configuration."""
 
 
-def _cache_dir(workdir: Path, config: RunConfig) -> Path:
+def _cache_dir(workdir: Path) -> Path:
     root = os.environ.get("HMIC_CACHE_DIR")
-    base = Path(root) if root else workdir / "feature_cache"
-    # standardize acts after the cache (_model_input), so it is not in the key.
-    front_end = {k: v for k, v in to_dict(config.dsp).items() if k != "standardize"}
-    return base / config_digest(front_end)[:12]
+    return Path(root) if root else workdir / "feature_cache"
 
 
 def extract_features(
@@ -69,7 +64,7 @@ def extract_features(
 ) -> dict[str, np.ndarray]:
     """Log-Mel matrices (float32, cache precision) keyed by clip_id; each
     clip's WAV sha256 goes into ``wav_digests`` when it is given."""
-    cache_dir = _cache_dir(workdir, config)
+    cache_dir = _cache_dir(workdir)
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     def one(entry: ManifestEntry) -> tuple[str, str, np.ndarray]:
@@ -86,7 +81,7 @@ def extract_features(
             except dsp.DspError:
                 pass  # a corrupt entry is a miss: re-extract and rewrite it
         wave = dsp.read_wav_mono(data, name=path)
-        values = dsp.log_mel(wave, config.dsp).values.astype(np.float32)
+        values = dsp.log_mel(wave).astype(np.float32)
         dsp.save_features(cached, values)
         return entry.meta.clip_id, digest, values
 
@@ -100,27 +95,21 @@ def extract_features(
     return {clip_id: values for clip_id, _, values in triples}
 
 
-def _model_input(features: np.ndarray, config: RunConfig) -> np.ndarray:
-    values = features.astype(np.float64)
-    if config.dsp.standardize:
-        values = dsp.standardize(values)
-    return values
-
-
-def _stack_inputs(entries, features, config) -> np.ndarray:
-    """(N, 1, H, W) model inputs; each clip's float64 copy dies once stacked."""
+def _stack_inputs(entries, features) -> np.ndarray:
+    """(N, 1, H, W) standardized model inputs; each clip's float64 copy dies
+    once stacked."""
     shapes = {features[e.meta.clip_id].shape for e in entries}
     if len(shapes) != 1:
         raise PipelineError(f"clips disagree on feature shape: {sorted(shapes)}")
     stack = np.empty((len(entries), 1, *shapes.pop()))
     for i, e in enumerate(entries):
-        stack[i, 0] = _model_input(features[e.meta.clip_id], config)
+        stack[i, 0] = dsp.standardize(features[e.meta.clip_id])
     return stack
 
 
-def _forward_key(params: ModelParams, config: RunConfig) -> str:
+def _forward_key(params: ModelParams) -> str:
     """Digest of what a clip's embedding depends on beyond its log-Mel."""
-    h = hashlib.sha256(repr(("standardize", config.dsp.standardize)).encode())
+    h = hashlib.sha256()
     for name in sorted(params.tensors):
         value = np.ascontiguousarray(params.tensors[name], dtype="<f8")
         h.update(repr((name, value.shape)).encode())
@@ -128,7 +117,7 @@ def _forward_key(params: ModelParams, config: RunConfig) -> str:
     return h.hexdigest()
 
 
-def _embeddings(params, entries, features, wav_digests, cache_dir, config) -> np.ndarray:
+def _embeddings(params, entries, features, wav_digests, cache_dir) -> np.ndarray:
     """(N, d_h) ``feat_high`` rows. One cache file per forward key holds a row
     per WAV sha256; only the clips without a row run the forward, and then the
     file is rewritten with the old rows and the new. One file, not one per
@@ -136,11 +125,11 @@ def _embeddings(params, entries, features, wav_digests, cache_dir, config) -> np
     of a 128x63 clip's forward. A truncated or garbage file counts as empty.
     When two processes add rows at once, the last rename wins and the other's
     rows are misses next time."""
-    path = cache_dir / f"{_forward_key(params, config)}.emb"
+    path = cache_dir / f"{_forward_key(params)}.emb"
     rows = _read_embeddings(path, params.config.feat_high_dim)
     missed = [e for e in entries if wav_digests[e.meta.clip_id] not in rows]
     if missed:
-        computed = forward_features(params, _stack_inputs(missed, features, config)).feat_high
+        computed = forward_features(params, _stack_inputs(missed, features)).feat_high
         rows.update(zip((wav_digests[e.meta.clip_id] for e in missed), computed))
         dsp._write_entry(path, EMBEDDING_MAGIC, *(
             bytes.fromhex(digest) + row.astype("<f8").tobytes() for digest, row in rows.items()))
@@ -189,7 +178,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     for machine in machines:
         own = [e for e in train_entries if e.meta.machine_type == machine]
         space = build_label_space([e.meta for e in own], machine)
-        inputs = _stack_inputs(own, features, config)
+        inputs = _stack_inputs(own, features)
         pairs = [assign_labels(e.meta, space) for e in own]
         labels_id = np.array([p[0] for p in pairs])
         labels_ag = np.array([p[1] for p in pairs])
@@ -206,10 +195,9 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
 
         embeddings = forward_features(params, inputs)
         sections = np.array([e.meta.section_id for e in own])
-        agc = scoring.fit_agc(embeddings.feat_high, labels_ag, sections,
-                              shrinkage_rel=config.shrinkage_rel)
+        agc = scoring.fit_agc(embeddings.feat_high, labels_ag, sections)
         dc = scoring.fit_dc(embeddings.feat_high, np.array([e.meta.domain for e in own]),
-                            sections, shrinkage_rel=config.shrinkage_rel)
+                            sections)
         for name, value in params.tensors.items():
             tensors[f"{machine}/param/{name}"] = value
         tensors.update(scoring.centre_model_to_tensors(agc, f"{machine}/agc"))
@@ -294,7 +282,7 @@ def run_score(
     corpus_root = manifest_path.parent
     wav_digests: dict[str, str] = {}
     features = extract_features(test_entries, corpus_root, config, workdir, wav_digests)
-    cache_dir = _cache_dir(workdir, config)
+    cache_dir = _cache_dir(workdir)
 
     records: dict[str, scoring.ScoreRecord] = {}
     errors: list[str] = []
@@ -305,7 +293,7 @@ def run_score(
         if machine not in models:
             errors.extend(f"{e.meta.clip_id}: unknown machine type {machine!r}" for e in own)
             continue
-        feat_high = _embeddings(params[machine], own, features, wav_digests, cache_dir, config)
+        feat_high = _embeddings(params[machine], own, features, wav_digests, cache_dir)
         score_fn = scoring.score_agc if config.scoring_mode == "agc" else scoring.score_dc
         for i, entry in enumerate(own):
             try:
@@ -378,6 +366,9 @@ def run_eval(
         meta = by_id.get(clip_id)
         if meta is None:
             raise PipelineError(f"scored clip {clip_id!r} not present in manifest")
+        if meta.split != "test":
+            raise PipelineError(f"scored clip {clip_id!r} is a {meta.split} clip in the "
+                                f"manifest; only test clips are evaluated")
         if meta.condition not in ("normal", "anomalous"):
             raise PipelineError(f"clip {clip_id!r} has unknown condition; cannot evaluate")
         clips.append(

@@ -48,19 +48,17 @@ class ScoreRecord:
     argmin_group: int
 
 
-DEFAULT_SHRINKAGE_REL = 1e-3
+SHRINKAGE_REL = 1e-3
 
 
-def _shrink_eps(cov: np.ndarray, override: float | None, rel: float = DEFAULT_SHRINKAGE_REL) -> float:
-    """Diagonal shrinkage: absolute override, else rel * trace/d (floor 1e-6)."""
+def _shrink_eps(cov: np.ndarray, override: float | None) -> float:
+    """Diagonal shrinkage: absolute override, else SHRINKAGE_REL * trace/d (floor 1e-6)."""
     if override is not None:
         if override <= 0.0:
             raise ScoringError(f"shrinkage must be positive, got {override}")
         return float(override)
-    if rel <= 0.0:
-        raise ScoringError(f"relative shrinkage must be positive, got {rel}")
     d = cov.shape[0]
-    return max(rel * float(np.trace(cov)) / d, 1e-6)
+    return max(SHRINKAGE_REL * float(np.trace(cov)) / d, 1e-6)
 
 
 def _population_cov(devs: np.ndarray) -> np.ndarray:
@@ -79,7 +77,6 @@ def _fit(
     sections: np.ndarray,
     kind: str,
     shrinkage: float | None,
-    shrinkage_rel: float = DEFAULT_SHRINKAGE_REL,
 ) -> CentreModel:
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels)
@@ -99,7 +96,7 @@ def _fit(
             members = feats[in_section & (labels == label)]
             centre = members.mean(axis=0)
             cov = _population_cov(members - centre)
-            eps = _shrink_eps(cov, shrinkage, shrinkage_rel)
+            eps = _shrink_eps(cov, shrinkage)
             groups.append(GroupCentre(label, centre, cov, eps, len(members), _factor(cov, eps)))
         groups_by_section[section] = tuple(groups)
     return CentreModel(kind=kind, groups_by_section=groups_by_section)
@@ -110,10 +107,9 @@ def fit_agc(
     group_labels: np.ndarray,
     sections: np.ndarray,
     shrinkage: float | None = None,
-    shrinkage_rel: float = DEFAULT_SHRINKAGE_REL,
 ) -> CentreModel:
     """Attribute-group centres: one centre/covariance per group label."""
-    return _fit(feats, group_labels, sections, "agc", shrinkage, shrinkage_rel)
+    return _fit(feats, group_labels, sections, "agc", shrinkage)
 
 
 def fit_dc(
@@ -121,14 +117,13 @@ def fit_dc(
     domains: np.ndarray,
     sections: np.ndarray,
     shrinkage: float | None = None,
-    shrinkage_rel: float = DEFAULT_SHRINKAGE_REL,
 ) -> CentreModel:
     """Domain centres: one centre per domain (source=0, target=1) under a section."""
     try:
         labels = np.array([DOMAIN_INDEX[d] for d in domains])
     except KeyError as exc:
         raise ScoringError(f"unknown domain {exc.args[0]!r}") from None
-    return _fit(feats, labels, sections, "dc", shrinkage, shrinkage_rel)
+    return _fit(feats, labels, sections, "dc", shrinkage)
 
 
 def mahalanobis(feat: np.ndarray, centre: np.ndarray, solve) -> float:

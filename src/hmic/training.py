@@ -18,15 +18,17 @@ class TrainingError(HmicError, ValueError):
     pass
 
 
+LR_MIN = 1e-6  # the cosine schedule's last-epoch learning rate
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-4
-    lr_min: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -58,19 +60,19 @@ class AdamState:
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.step_count = 0
 
-    def step(self, tensors, grads, lr, beta1, beta2, eps):
+    def step(self, tensors, grads, lr):
         self.step_count += 1
         t = self.step_count
         for name, grad in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            m_hat = m / (1.0 - beta1**t)
-            v_hat = v / (1.0 - beta2**t)
-            tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(
@@ -109,7 +111,7 @@ def train(
 
     log: list[EpochStats] = []
     for epoch in range(train_config.epochs):
-        lr = cosine_lr(epoch, train_config.epochs, train_config.learning_rate, train_config.lr_min)
+        lr = cosine_lr(epoch, train_config.epochs, train_config.learning_rate, LR_MIN)
         order = batch_rng.permutation(n_clips)
         sums = np.zeros(3)
         for batch, start in enumerate(range(0, n_clips, train_config.batch_size)):
@@ -122,14 +124,7 @@ def train(
                 raise TrainingError(
                     f"non-finite loss {breakdown.loss_total} at epoch {epoch}, batch {batch}"
                 )
-            adam.step(
-                params.tensors,
-                grads,
-                lr,
-                train_config.beta1,
-                train_config.beta2,
-                train_config.adam_eps,
-            )
+            adam.step(params.tensors, grads, lr)
             sums += len(idx) * np.array(
                 [breakdown.loss_id, breakdown.loss_ag, breakdown.loss_total]
             )

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,27 +16,14 @@ from hmic.checkpoint import (
 )
 from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, save_run_config
 from hmic.datagen import AnomalySpec, AttributeSpec
-from hmic.dsp import DspConfig
 from hmic.model import ModelConfig
 from hmic.training import TrainConfig
 
 from conftest import make_tiny_spec
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 run_configs = st.builds(
     RunConfig,
-    dsp=st.builds(
-        DspConfig,
-        sample_rate_hz=st.integers(1, 96000),
-        frame_size=st.integers(2, 4096),
-        hop=st.integers(1, 4096),
-        n_mels=st.integers(1, 256),
-        f_min_hz=finite,
-        f_max_hz=finite,
-        floor_epsilon=finite,
-        standardize=st.booleans(),
-    ),
     model=st.builds(
         ModelConfig,
         channels=st.tuples(*[st.integers(1, 128)] * 3),
@@ -48,13 +35,8 @@ run_configs = st.builds(
         epochs=st.integers(1, 100),
         batch_size=st.integers(1, 256),
         learning_rate=finite,
-        lr_min=finite,
-        beta1=finite,
-        beta2=finite,
-        adam_eps=finite,
         seed=st.integers(0, 2**63),
     ),
-    shrinkage_rel=positive,
     scoring_mode=st.sampled_from(SCORING_MODES),
     pauc_p=st.floats(0.0, 1.0, exclude_min=True),
     jobs=st.integers(1, 64),
@@ -148,13 +130,10 @@ class TestRunConfig:
             RunConfig(pauc_p=0.0)
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
-        for shrinkage_rel in (0.0, -1e-3, float("nan")):
-            with pytest.raises(ConfigError, match="shrinkage_rel"):
-                RunConfig(shrinkage_rel=shrinkage_rel)
 
     def test_default_semantic_digest_is_pinned(self):
         assert RunConfig().semantic_digest() == (
-            "2a3ab9808c1dbb0201500a9ddbd1e292acdb9d7db03f5fce8dde6cb1d29b28b9"
+            "5df634129325a98eb61743442e9fbc3ac4e130dbcd5a91495b9c152fd0a38c56"
         )
 
     @settings(max_examples=60, deadline=None)
@@ -172,16 +151,26 @@ class TestRunConfig:
             {"train": {"learning_rate": None}},
             {"train": {"epochs": True}},
             {"train": {"epochs": 2.0}},
-            {"dsp": {"standardize": 1}},
             {"model": {"channels": [8, 16, "64"]}},
             {"model": {"id_loss_weight": "0.3"}},
-            {"shrinkage_rel": "0.1"},
+            {"pauc_p": "0.1"},
             {"scoring_mode": None},
         ],
     )
     def test_wrong_leaf_type_rejected(self, data):
         with pytest.raises(TypeError, match="expected"):
             from_dict(RunConfig, data)
+
+    def test_int_for_bool_field_rejected(self):
+        """No RunConfig field is a bool; ``from_dict`` still serves bool hints."""
+
+        @dataclass(frozen=True)
+        class Flagged:
+            flag: bool = False
+
+        assert from_dict(Flagged, {"flag": True}) == Flagged(flag=True)
+        with pytest.raises(TypeError, match="expected"):
+            from_dict(Flagged, {"flag": 1})
 
     @pytest.mark.parametrize(
         ("cls", "fields"),
@@ -201,8 +190,8 @@ class TestRunConfig:
             from_dict(cls, {**base, **fields})
 
     def test_int_for_float_field_is_kept_unchanged(self):
-        config = from_dict(RunConfig, {"train": {"learning_rate": 1}, "shrinkage_rel": 2})
-        assert type(config.train.learning_rate) is int and config.shrinkage_rel == 2
+        config = from_dict(RunConfig, {"train": {"learning_rate": 1}, "pauc_p": 1})
+        assert type(config.train.learning_rate) is int and config.pauc_p == 1
         assert from_dict(AnomalySpec, {"detune_attr": None}).detune_attr is None
 
     def test_wrong_leaf_type_in_file_is_config_error(self, tmp_path):

@@ -115,12 +115,14 @@ class TestTrain:
         ("train", "epochs", -1),
         ("model", "channels", [0, 8, 16]),
         ("model", "head_channels", 0),
-        (None, "shrinkage_rel", -1e-3),
         # settings that no longer exist: an old config naming one is refused
+        (None, "shrinkage_rel", -1e-3),
         (None, "ablation", "domain_only"),
         (None, "covariance_mode", "per_group"),
         (None, "shrinkage", 0.1),
         ("model", "id_loss_weight_by_machine", {"gizmo": 1.0}),
+        (None, "dsp", {"n_mels": 64}),
+        ("train", "beta1", 0.9),
     ])
     def test_out_of_range_config_fails_before_training(self, tiny_corpus, tmp_path, capsys,
                                                        section, field, value):
@@ -251,7 +253,7 @@ class TestEval:
         assert code == 2
 
     @pytest.mark.parametrize("fault", ["every_other_clip", "duplicate_row", "bad_number",
-                                       "nan", "inf", "-inf"])
+                                       "nan", "inf", "-inf", "train_clip"])
     def test_scores_must_cover_each_test_clip_once(self, scores_csv, tmp_path, capsys,
                                                    fault):
         manifest, scores = scores_csv
@@ -260,6 +262,9 @@ class TestEval:
             rows = rows[::2]
         elif fault == "duplicate_row":
             rows = rows + rows[:1]
+        elif fault == "train_clip":
+            train = next(e.meta for e in read_manifest(manifest) if e.meta.split == "train")
+            rows = rows + [f"{train.clip_id},{train.section_id},0.5,0"]
         else:
             clip_id, section, _, argmin = rows[0].split(",")
             score = "high" if fault == "bad_number" else fault
@@ -273,7 +278,9 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not report_path.exists()
-        if fault not in ("every_other_clip", "duplicate_row"):
+        if fault == "train_clip":
+            assert f"scored clip {train.clip_id!r} is a train clip" in err
+        elif fault not in ("every_other_clip", "duplicate_row"):
             assert f"{mangled}:2: score '{score}' is not" in err
 
     def test_pauc_p_one_collapses_to_auc(self, scores_csv, tmp_path):
@@ -365,7 +372,7 @@ class TestCacheAndJobs:
 
 
 class TestFeatureCacheKey:
-    """An entry is keyed by what a log-Mel depends on: front-end config and WAV bytes."""
+    """An entry is keyed by what a log-Mel depends on: the WAV bytes."""
 
     def test_corpora_sharing_clip_ids_get_their_own_features(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HMIC_CACHE_DIR", str(tmp_path / "shared_cache"))
@@ -377,9 +384,9 @@ class TestFeatureCacheKey:
             clip_ids.append([e.meta.clip_id for e in entries])
             features = extract_features(entries, root, config, tmp_path / f"work_{seed}")
             for entry in entries:
-                fresh = dsp.log_mel(dsp.read_wav_mono(root / entry.path), config.dsp)
+                fresh = dsp.log_mel(dsp.read_wav_mono(root / entry.path))
                 np.testing.assert_array_equal(features[entry.meta.clip_id],
-                                              fresh.values.astype(np.float32))
+                                              fresh.astype(np.float32))
         assert clip_ids[0] == clip_ids[1]
 
     def test_settings_past_the_front_end_reuse_every_entry(self, tiny_corpus, tmp_path,
@@ -392,23 +399,11 @@ class TestFeatureCacheKey:
         variants = (
             base.with_overrides(seed=8),
             replace(base, model=replace(base.model, id_loss_weight=0.25)),
-            replace(base, dsp=replace(base.dsp, standardize=not base.dsp.standardize)),
         )
         log_mel_calls.clear()
         for i, config in enumerate(variants):
             run_train(config, corpus_root, tmp_path / f"variant{i}.hmic", tmp_path)
         assert log_mel_calls == []
-
-    def test_a_front_end_change_re_extracts(self, tiny_corpus, tmp_path, log_mel_calls):
-        corpus_root, manifest = tiny_corpus
-        entries = read_manifest(manifest)
-        config = make_tiny_config()
-        extract_features(entries, corpus_root, config, tmp_path)
-        log_mel_calls.clear()
-        narrow = replace(config, dsp=replace(config.dsp, n_mels=64))
-        features = extract_features(entries, corpus_root, narrow, tmp_path)
-        assert len(log_mel_calls) == len(entries)
-        assert {f.shape[0] for f in features.values()} == {64}
 
 
 @pytest.fixture()
@@ -436,7 +431,7 @@ def _score(config, checkpoint, manifest, workdir, mode="agc"):
 
 class TestEmbeddingCache:
     """Scoring caches each clip's embedding, keyed by its WAV and what the
-    forward adds: the machine's parameters and ``standardize``."""
+    forward adds: the machine's parameters."""
 
     @pytest.mark.parametrize("first,second", [("agc", "dc"), ("dc", "agc")])
     def test_second_mode_matches_an_empty_cache(self, trained, tmp_path, first, second):
@@ -480,26 +475,6 @@ class TestEmbeddingCache:
                   for i, (config, path) in enumerate(runs)]
         assert shared == alone and alone[0] != alone[1]
         assert len(list((tmp_path / "shared_cache").rglob("*.emb"))) == 2  # one per checkpoint
-
-    def test_toggling_standardize_misses(self, trained, tmp_path, forward_clips):
-        _, manifest, checkpoint, _ = trained
-        config = make_tiny_config()
-        # The same tensors under a config without standardize: only the key's
-        # standardize part tells the two checkpoints' embeddings apart.
-        raw = replace(config, dsp=replace(config.dsp, standardize=False))
-        tensors, block, _ = load_checkpoint(checkpoint)
-        block.update(run=to_dict(raw), semantic=raw.semantic_dict())
-        raw_checkpoint = tmp_path / "raw.hmic"
-        save_checkpoint(raw_checkpoint, tensors, block, raw.semantic_digest())
-        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
-
-        shared = tmp_path / "shared"
-        standardized = _score(config, checkpoint, manifest, shared)
-        forward_clips.clear()
-        assert _score(raw, raw_checkpoint, manifest, shared) == _score(
-            raw, raw_checkpoint, manifest, tmp_path / "fresh")
-        assert forward_clips == [n_test, n_test]  # a miss in shared, then in fresh
-        assert _score(raw, raw_checkpoint, manifest, shared) != standardized
 
     def test_only_clips_without_a_row_run_the_forward(self, trained, tmp_path,
                                                       forward_clips):
@@ -702,6 +677,31 @@ class TestUnreadableInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(utf16) in err
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("command", ["eval", "score", "train"])
+    def test_an_output_under_a_regular_file_is_one_line_error(
+            self, trained, tmp_path, tiny_config_path, capsys, command):
+        corpus_root, manifest, checkpoint, _ = trained
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out"
+        if command == "eval":
+            scores = tmp_path / "scores.csv"
+            assert run_cli("score", "--checkpoint", checkpoint, "--manifest", manifest,
+                           "--out", scores, "--config", tiny_config_path) == 0
+            capsys.readouterr()
+            args = ["eval", "--scores", scores, "--manifest", manifest]
+        elif command == "score":
+            args = ["score", "--checkpoint", checkpoint, "--manifest", manifest,
+                    "--config", tiny_config_path]
+        else:
+            args = ["train", "--corpus", corpus_root, "--workdir", tmp_path / "work",
+                    "--config", tiny_config_path]
+        assert run_cli(*args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
 
 
 class TestPipelineCommand:

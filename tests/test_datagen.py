@@ -26,7 +26,7 @@ from hmic.datagen import (
     spec_to_json,
     synthesize_clip,
 )
-from hmic.dsp import DspConfig, Waveform, log_mel, mel_centres_hz, read_wav_mono
+from hmic.dsp import F_MAX_HZ, F_MIN_HZ, N_MELS, Waveform, log_mel, mel_centres_hz, read_wav_mono
 from hmic.metadata import build_label_space, parse_dcase_filename, read_manifest
 
 TINY_COUNTS = ClipCounts(
@@ -190,10 +190,9 @@ class TestSynthesize:
             if not p.anomalous and p.meta.attribute_map["spd"] == "A"
         )
         samples = synthesize_clip(spec, plan)
-        config = DspConfig()
         wave = Waveform(samples=samples, sample_rate_hz=spec.sample_rate_hz)
-        values = log_mel(wave, config).values
-        centres = mel_centres_hz(config.n_mels, config.f_min_hz, config.f_max_hz)
+        values = log_mel(wave)
+        centres = mel_centres_hz(N_MELS, F_MIN_HZ, F_MAX_HZ)
         expected_bin = int(np.argmin(np.abs(centres - plan.tone_freqs_hz[0])))
         peak_bins = values.argmax(axis=0)
         assert np.all(np.abs(peak_bins - expected_bin) <= 1)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmic.dsp import (
-    DspConfig,
     DspError,
     Waveform,
     hz_to_mel,
@@ -37,11 +36,11 @@ def tone(freq, seconds=1.0, amp=0.5, sr=SR):
 
 class TestStftPower:
     def test_ten_second_clip_gives_313_frames(self):
-        power = stft_power(make_wave(np.zeros(160000)), 1024, 512)
+        power = stft_power(make_wave(np.zeros(160000)), 1024)
         assert power.shape == (513, 313)
 
     def test_zero_waveform_gives_zero_power(self):
-        power = stft_power(make_wave(np.zeros(4096)), 1024, 512)
+        power = stft_power(make_wave(np.zeros(4096)), 1024)
         assert np.all(power == 0.0)
 
     @pytest.mark.parametrize("position", [100, 511, 700])
@@ -49,24 +48,20 @@ class TestStftPower:
         # Direct DFT of a windowed impulse: |w[k] e^{-i w k}|^2 = w[k]^2 in every bin.
         samples = np.zeros(1024)
         samples[position] = 1.0
-        power = stft_power(make_wave(samples), 1024, 512)
+        power = stft_power(make_wave(samples), 1024)
         expected = (0.5 - 0.5 * math.cos(2 * math.pi * position / 1024)) ** 2
         assert np.allclose(power[:, 0], expected, rtol=1e-9, atol=1e-12)
 
     def test_empty_waveform_is_error(self):
         with pytest.raises(DspError):
-            stft_power(make_wave(np.zeros(0)), 1024, 512)
-
-    def test_nonhalf_hop_rejected(self):
-        with pytest.raises(DspError, match="hop"):
-            stft_power(make_wave(np.zeros(2048)), 1024, 256)
+            stft_power(make_wave(np.zeros(0)), 1024)
 
     def test_hop_shift_moves_frames_one_column(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(size=5000)
         shifted = np.concatenate([np.zeros(512), samples])
-        original = stft_power(make_wave(samples), 1024, 512)
-        moved = stft_power(make_wave(shifted), 1024, 512)
+        original = stft_power(make_wave(samples), 1024)
+        moved = stft_power(make_wave(shifted), 1024)
         assert moved.shape[1] == original.shape[1] + 1
         np.testing.assert_array_equal(moved[:, 1:], original)
 
@@ -123,13 +118,12 @@ class TestLogMel:
     def test_ten_second_clip_is_128_by_313(self):
         rng = np.random.default_rng(1)
         spectrogram = log_mel(make_wave(rng.normal(scale=0.05, size=160000)))
-        assert spectrogram.values.shape == (128, 313)
-        assert np.all(np.isfinite(spectrogram.values))
+        assert spectrogram.shape == (128, 313)
+        assert np.all(np.isfinite(spectrogram))
 
     def test_silence_is_constant_floor(self):
-        config = DspConfig()
-        spectrogram = log_mel(make_wave(np.zeros(SR)), config)
-        assert np.all(spectrogram.values == math.log(config.floor_epsilon))
+        spectrogram = log_mel(make_wave(np.zeros(SR)))
+        assert np.all(spectrogram == math.log(1e-10))
 
     # Bins below ~30 are narrower than one FFT bin at 16 kHz / 1024, so a tone
     # there can legitimately peak in a neighbouring filter; test bins that span
@@ -138,12 +132,12 @@ class TestLogMel:
     def test_pure_tone_localizes_to_nearest_mel_bin(self, bin_index):
         freq = analytic_centres(128, 0.0, 8000.0)[bin_index]
         spectrogram = log_mel(make_wave(tone(freq)))
-        assert np.all(spectrogram.values.argmax(axis=0) == bin_index)
+        assert np.all(spectrogram.argmax(axis=0) == bin_index)
 
     def test_scaling_shifts_log_by_two_log_a(self):
         samples = tone(1000.0) + 0.01 * np.random.default_rng(2).normal(size=SR)
-        base = log_mel(make_wave(samples)).values
-        scaled = log_mel(make_wave(0.25 * samples)).values
+        base = log_mel(make_wave(samples))
+        scaled = log_mel(make_wave(0.25 * samples))
         assert base.min() > math.log(1e-10) + 1.0  # everything well above the floor
         np.testing.assert_allclose(scaled, base + 2.0 * math.log(0.25), rtol=0, atol=1e-9)
 
@@ -155,8 +149,8 @@ class TestLogMel:
     @given(st.integers(min_value=1, max_value=3000))
     def test_any_length_yields_finite_output(self, length):
         spectrogram = log_mel(make_wave(np.ones(length) * 0.1))
-        assert np.all(np.isfinite(spectrogram.values))
-        assert spectrogram.values.shape[1] == -(-length // 512)
+        assert np.all(np.isfinite(spectrogram))
+        assert spectrogram.shape[1] == -(-length // 512)
 
 
 class TestStandardize:

@@ -12,7 +12,6 @@ from hmic.evaluation import (
     auc_from_scores,
     build_report,
     harmonic_total,
-    pauc,
     pauc_from_scores,
     write_report_csv,
 )

@@ -283,6 +283,16 @@ class TestManifest:
         with pytest.raises(ManifestError, match="header"):
             read_manifest(path)
 
+    def test_clip_id_listed_twice_is_manifest_error(self, tmp_path):
+        # Every stage keys clips by id, so the second row would silently reuse
+        # the first row's audio.
+        entries = [ManifestEntry(meta=make_clip(clip_id="a"), path=f"{name}.wav")
+                   for name in ("a", "b")]
+        path = tmp_path / "manifest.csv"
+        write_manifest(entries, path)
+        with pytest.raises(ManifestError, match=f"{path}:3: clip_id 'a' listed twice"):
+            read_manifest(path)
+
     def test_oversized_field_is_manifest_error(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("x" * 200_000 + "\n")  # past the csv module's field size limit
