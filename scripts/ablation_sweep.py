@@ -27,6 +27,20 @@ from hmic.model import ModelConfig
 from hmic.pipeline import run_eval, run_score, run_train
 
 
+def run_setting(config, corpus, rundir):
+    """Train, score (agc) and evaluate one setting under ``rundir``; its
+    ``report.json`` carries the setting's config digest."""
+    manifest = corpus / "manifest.csv"
+    checkpoint = rundir / "model.hmic"
+    run_train(config, corpus, checkpoint, rundir)
+    scores = rundir / "scores.csv"
+    outcome = run_score(config, checkpoint, manifest, scores, rundir)
+    if outcome.errors:
+        raise SystemExit(f"{rundir.name}: scoring errors: {outcome.errors[:3]}")
+    return run_eval(scores, manifest, rundir / "report.json", pauc_p=config.pauc_p,
+                    config_digest=config.semantic_digest())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, required=True)
@@ -41,7 +55,6 @@ def main() -> int:
     if not (corpus / "manifest.csv").exists():
         print("generating corpus...", flush=True)
         generate(PRESETS[args.preset](args.seed), corpus)
-    manifest = corpus / "manifest.csv"
 
     ablations = {0.0: "attribute_only", 1.0: "domain_only"}
 
@@ -55,13 +68,7 @@ def main() -> int:
         rundir = args.workdir / tag.replace("=", "_")
         if weight in ablations:
             tag += f" ({ablations[weight]})"
-        checkpoint = rundir / "model.hmic"
-        run_train(config, corpus, checkpoint, rundir)
-        scores = rundir / "scores.csv"
-        outcome = run_score(config, checkpoint, manifest, scores, rundir)
-        if outcome.errors:
-            raise SystemExit(f"{tag}: scoring errors: {outcome.errors[:3]}")
-        report = run_eval(scores, manifest, rundir / "report.json", pauc_p=config.pauc_p)
+        report = run_setting(config, corpus, rundir)
         print(
             f"{tag:<28}{report.total_auc:>9.4f}{report.total_pauc:>9.4f}"
             f"{report.total_combined:>10.4f}",

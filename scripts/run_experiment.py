@@ -34,7 +34,7 @@ def run_corpus(name, spec, config, workdir):
     if outcome.errors:
         raise SystemExit(f"{name}: scoring errors: {outcome.errors[:3]}")
     report_dc = run_eval(scores_dc, manifest, workdir / name / "report_dc.json",
-                         pauc_p=config.pauc_p)
+                         pauc_p=config.pauc_p, config_digest=config.semantic_digest())
     elapsed = time.monotonic() - start
     return report_agc, report_dc, elapsed
 

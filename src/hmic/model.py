@@ -24,6 +24,8 @@ from .errors import HmicError
 # outgrow the cache and the kernel spends its time zeroing fresh pages for
 # them. A 32-clip training step in these chunks peaks at 39 MB (128x63) and
 # 33 MB (128x313) under tracemalloc, against 101 and 506 MB as one batch.
+# Scoring (``pipeline._embeddings``) stacks each chunk's float64 input only
+# when that chunk runs, so it holds one chunk of model input, not the batch.
 _CHUNK_PIXELS = 100_000
 
 
@@ -146,12 +148,13 @@ def _forward(params: ModelParams, x: np.ndarray, caches: dict | None = None) -> 
     return FeaturePair(feat_low=feat_low, feat_high=feat_high)
 
 
-def _chunks(x: np.ndarray) -> list[slice]:
-    """Consecutive clip slices of ``x``, each of about ``_CHUNK_PIXELS`` input
-    pixels and at least one clip. An empty batch still gives one slice, so
-    inference on it yields (0, d) feature matrices."""
-    step = max(1, _CHUNK_PIXELS // (x.shape[2] * x.shape[3]))
-    return [slice(i, i + step) for i in range(0, x.shape[0] or 1, step)]
+def _chunks(n_clips: int, height: int, width: int) -> list[slice]:
+    """Consecutive slices of a batch of ``n_clips`` (height, width) clips, each
+    of about ``_CHUNK_PIXELS`` input pixels and at least one clip. An empty
+    batch still gives one slice, so inference on it yields (0, d) feature
+    matrices."""
+    step = max(1, _CHUNK_PIXELS // (height * width))
+    return [slice(i, i + step) for i in range(0, n_clips or 1, step)]
 
 
 def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
@@ -167,7 +170,7 @@ def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     fewer than 32 in another order, may they move in the last bit.
     """
     x = _as_batch(x)
-    pairs = [_forward(params, x[part]) for part in _chunks(x)]
+    pairs = [_forward(params, x[part]) for part in _chunks(x.shape[0], *x.shape[2:])]
     return FeaturePair(
         feat_low=np.concatenate([p.feat_low for p in pairs]),
         feat_high=np.concatenate([p.feat_high for p in pairs]),
@@ -231,7 +234,7 @@ def loss_and_grads(
 
     loss_id = loss_ag = 0.0
     grads: dict[str, np.ndarray] = {}
-    for part in _chunks(x):
+    for part in _chunks(n_clips, *x.shape[2:]):
         chunk = x[part]
         share = chunk.shape[0] / n_clips
         chunk_id, chunk_ag, chunk_grads = _chunk_loss_and_grads(

@@ -14,6 +14,10 @@ machine's parameter tensors (names, shapes, bytes). So the agc and dc scoring
 of one checkpoint run the forward once per clip, and a hit returns the exact
 float64 bytes the miss computed. Neither key covers the code: an edit to the
 front end or to the model needs an empty cache.
+
+Scoring builds the float64 model input one forward chunk (``model._chunks``)
+at a time, after checking that all of a machine's missed clips share one
+feature shape; test clips of a machine the checkpoint lacks are never read.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import (ManifestEntry, assign_labels, build_label_space, read_csv_rows,
                        read_manifest)
-from .model import ModelConfig, ModelParams, forward_features, init_params
+from .model import ModelConfig, ModelParams, _chunks, forward_features, init_params
 from .training import train, write_training_log
 
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
@@ -95,13 +99,18 @@ def extract_features(
     return {clip_id: values for clip_id, _, values in triples}
 
 
-def _stack_inputs(entries, features) -> np.ndarray:
-    """(N, 1, H, W) standardized model inputs; each clip's float64 copy dies
-    once stacked."""
+def _feature_shape(entries, features) -> tuple[int, int]:
+    """The (H, W) that every clip's log-Mel shares."""
     shapes = {features[e.meta.clip_id].shape for e in entries}
     if len(shapes) != 1:
         raise PipelineError(f"clips disagree on feature shape: {sorted(shapes)}")
-    stack = np.empty((len(entries), 1, *shapes.pop()))
+    return shapes.pop()
+
+
+def _stack_inputs(entries, features, shape) -> np.ndarray:
+    """(N, 1, H, W) standardized model inputs of clips whose log-Mels have the
+    checked (H, W) ``shape``; each clip's float64 copy dies once stacked."""
+    stack = np.empty((len(entries), 1, *shape))
     for i, e in enumerate(entries):
         stack[i, 0] = dsp.standardize(features[e.meta.clip_id])
     return stack
@@ -119,17 +128,21 @@ def _forward_key(params: ModelParams) -> str:
 
 def _embeddings(params, entries, features, wav_digests, cache_dir) -> np.ndarray:
     """(N, d_h) ``feat_high`` rows. One cache file per forward key holds a row
-    per WAV sha256; only the clips without a row run the forward, and then the
-    file is rewritten with the old rows and the new. One file, not one per
-    clip, because creating a file takes about 0.5 ms on a 2-core VM, a quarter
-    of a 128x63 clip's forward. A truncated or garbage file counts as empty.
-    When two processes add rows at once, the last rename wins and the other's
-    rows are misses next time."""
+    per WAV sha256; only the clips without a row run the forward, one model
+    chunk of standardized float64 inputs at a time, and then the file is
+    rewritten with the old rows and the new. One file, not one per clip,
+    because creating a file takes about 0.5 ms on a 2-core VM, a quarter of a
+    128x63 clip's forward. A truncated or garbage file counts as empty. When
+    two processes add rows at once, the last rename wins and the other's rows
+    are misses next time."""
     path = cache_dir / f"{_forward_key(params)}.emb"
     rows = _read_embeddings(path, params.config.feat_high_dim)
     missed = [e for e in entries if wav_digests[e.meta.clip_id] not in rows]
     if missed:
-        computed = forward_features(params, _stack_inputs(missed, features)).feat_high
+        shape = _feature_shape(missed, features)  # all of them, before the first forward
+        computed = np.concatenate([
+            forward_features(params, _stack_inputs(missed[part], features, shape)).feat_high
+            for part in _chunks(len(missed), *shape)])
         rows.update(zip((wav_digests[e.meta.clip_id] for e in missed), computed))
         dsp._write_entry(path, EMBEDDING_MAGIC, *(
             bytes.fromhex(digest) + row.astype("<f8").tobytes() for digest, row in rows.items()))
@@ -178,7 +191,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     for machine in machines:
         own = [e for e in train_entries if e.meta.machine_type == machine]
         space = build_label_space([e.meta for e in own], machine)
-        inputs = _stack_inputs(own, features)
+        inputs = _stack_inputs(own, features, _feature_shape(own, features))
         pairs = [assign_labels(e.meta, space) for e in own]
         labels_id = np.array([p[0] for p in pairs])
         labels_ag = np.array([p[1] for p in pairs])
@@ -280,8 +293,11 @@ def run_score(
     if not test_entries:
         raise PipelineError("manifest contains no test clips")
     corpus_root = manifest_path.parent
+    # Only the clips of machines the checkpoint holds are read; the others
+    # get error rows below.
     wav_digests: dict[str, str] = {}
-    features = extract_features(test_entries, corpus_root, config, workdir, wav_digests)
+    features = extract_features([e for e in test_entries if e.meta.machine_type in models],
+                                corpus_root, config, workdir, wav_digests)
     cache_dir = _cache_dir(workdir)
 
     records: dict[str, scoring.ScoreRecord] = {}

@@ -1,12 +1,14 @@
 import csv
 import json
 import shutil
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmic import dsp, pipeline
+from hmic import dsp, model, pipeline
 from hmic.checkpoint import load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
 from hmic.config import ConfigError, load_run_config
@@ -507,6 +509,66 @@ class TestEmbeddingCache:
         assert entry.read_bytes() == intact
 
 
+class TestScoringMemory:
+    def test_scoring_holds_one_chunk_of_model_input(self, trained, tmp_path, forward_clips):
+        # 28 test clips at 128x313 in 2-clip chunks peak near 14 MB: their
+        # float32 log-Mels (4.5 MB) plus one chunk's input and forward. Stacking
+        # every missed clip's float64 input first (9 MB more) peaked at 22 MB.
+        _, _, checkpoint, _ = trained
+        corpus = tmp_path / "corpus"
+        manifest = generate(replace(make_tiny_spec(), clip_seconds=10.0), corpus)
+        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
+        out = tmp_path / "scores.csv"
+        tracemalloc.start()
+        try:
+            outcome = pipeline.run_score(make_tiny_config(), checkpoint, manifest, out, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not outcome.errors
+        assert peak < 17e6, f"peak {peak / 1e6:.1f} MB"
+        first = model._chunks(n_test, dsp.N_MELS, 313)[0]
+        assert sum(forward_clips) == n_test
+        assert max(forward_clips) == first.stop < n_test  # one chunk per call
+
+
+class TestFeatureShapeCheck:
+    """A machine whose clips disagree on feature shape is one error line before
+    any forward, even when the two shapes fall in different model chunks."""
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_mixed_clip_lengths_fail_before_any_forward(self, trained, tmp_path,
+                                                        tiny_config_path, capsys,
+                                                        monkeypatch, command):
+        corpus_root, manifest, checkpoint, _ = trained
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
+        split = "train" if command == "train" else "test"
+        victim = [e for e in entries if e.meta.split == split][-1]  # in the last chunk
+        wave = dsp.read_wav_mono(victim.path)
+        longer = tmp_path / "longer.wav"
+        dsp.write_wav_mono(longer, np.tile(wave.samples, 2), wave.sample_rate_hz)
+        mixed = tmp_path / "mixed" / "manifest.csv"
+        mixed.parent.mkdir()
+        write_manifest([replace(e, path=str(longer)) if e is victim else e for e in entries],
+                       mixed)
+        monkeypatch.setattr(model, "_CHUNK_PIXELS", dsp.log_mel(wave).size)  # 1-clip chunks
+        forwards = []
+        real = model._forward
+        monkeypatch.setattr(model, "_forward", lambda *a, **k: forwards.append(1) or real(*a, **k))
+        out = tmp_path / "out" / ("model.hmic" if command == "train" else "scores.csv")
+        if command == "train":
+            code = run_cli("train", "--corpus", mixed.parent, "--out", out,
+                           "--config", tiny_config_path, "--workdir", tmp_path / "work")
+        else:
+            code = run_cli("score", "--checkpoint", checkpoint, "--manifest", mixed,
+                           "--out", out, "--config", tiny_config_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "clips disagree on feature shape" in err
+        assert forwards == [] and not out.exists()
+
+
 class TestCorpusReadErrors:
     @pytest.fixture()
     def corpus_copy(self, tiny_corpus, tmp_path):
@@ -620,20 +682,38 @@ class TestCheckpointTrust:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_a_machine_with_no_tensors_gets_error_rows(self, trained, tmp_path,
-                                                       tiny_config_path, capsys):
+    def _score_a_stranger(self, trained, tmp_path, config_path, capsys, path=None):
+        """Scores the manifest with its first test clip moved to machine type
+        'widget' (and to ``path`` when given), and checks the error row and
+        the other clips' scores."""
         corpus_root, manifest, checkpoint, _ = trained
         entries = _absolute_paths(read_manifest(manifest), corpus_root)
         victim = next(e for e in entries if e.meta.split == "test")
-        stranger = replace(victim, meta=replace(victim.meta, machine_type="widget"))
+        stranger = replace(victim, path=path or victim.path,
+                           meta=replace(victim.meta, machine_type="widget"))
         strange_manifest = tmp_path / "manifest_widget.csv"
         write_manifest([stranger if e is victim else e for e in entries], strange_manifest)
         out = tmp_path / "scores.csv"
-        assert self._score(checkpoint, strange_manifest, out, tiny_config_path) == 1
+        assert self._score(checkpoint, strange_manifest, out, config_path) == 1
         with out.open() as handle:
             rows = {r["clip_id"]: r["score"] for r in csv.DictReader(handle)}
         assert rows.pop(victim.meta.clip_id) == "" and all(rows.values())
         assert "unknown machine type 'widget'" in capsys.readouterr().err
+
+    def test_a_machine_with_no_tensors_gets_error_rows(self, trained, tmp_path,
+                                                       tiny_config_path, capsys):
+        self._score_a_stranger(trained, tmp_path, tiny_config_path, capsys)
+
+    def test_clips_of_a_machine_with_no_tensors_are_never_read(self, trained, tmp_path,
+                                                               tiny_config_path, capsys,
+                                                               monkeypatch):
+        garbage = tmp_path / "widget.wav"
+        garbage.write_bytes(b"not a wav file")
+        read = []
+        real = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or real(self))
+        self._score_a_stranger(trained, tmp_path, tiny_config_path, capsys, str(garbage))
+        assert read and garbage not in read
 
 
 class TestUnreadableInputs:
