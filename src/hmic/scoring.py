@@ -4,17 +4,17 @@ Two centre layouts share one implementation: attribute-group centres (one
 centre per attribute group under a section) and domain centres (one centre per
 source/target domain under a section). Covariances are population covariances
 with diagonal shrinkage so single-clip groups stay invertible; distances are
-computed through a symmetric positive-definite solve, never an explicit
+computed through a Cholesky factor and triangular solve, never an explicit
 inverse.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import HmicError
 
@@ -32,7 +32,7 @@ class GroupCentre:
     covariance: np.ndarray  # (d, d), unshrunk population covariance
     shrink_eps: float
     n_clips: int
-    solve: object  # cho_factor of (covariance + shrink_eps * I)
+    solve: np.ndarray  # lower Cholesky factor of (covariance + shrink_eps * I)
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,14 @@ def _population_cov(devs: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _factor(cov: np.ndarray, eps: float):
-    d = cov.shape[0]
-    return cho_factor(cov + eps * np.eye(d), lower=True)
+def _factor(cov: np.ndarray, eps: float) -> np.ndarray:
+    """Lower Cholesky factor L of cov + eps*I. A non-finite matrix raises
+    ScoringError (numpy would return NaNs); one that is not positive definite
+    raises LinAlgError. Both are ValueErrors."""
+    shrunk = cov + eps * np.eye(cov.shape[0])
+    if not np.all(np.isfinite(shrunk)):
+        raise ScoringError("non-finite covariance or shrinkage")
+    return np.linalg.cholesky(shrunk)
 
 
 def _fit(
@@ -126,21 +131,23 @@ def fit_dc(
     return _fit(feats, labels, sections, "dc", shrinkage)
 
 
-def mahalanobis(feat: np.ndarray, centre: np.ndarray, solve) -> float:
-    """sqrt((f - c)^T (Sigma + eps I)^{-1} (f - c)) via a Cholesky solve."""
+def mahalanobis(feat: np.ndarray, centre: np.ndarray, solve: np.ndarray) -> float:
+    """sqrt((f - c)^T (Sigma + eps I)^{-1} (f - c)) = |L^{-1} (f - c)| for the
+    lower Cholesky factor ``solve`` = L of Sigma + eps I."""
     feat = np.asarray(feat, dtype=np.float64)
     centre = np.asarray(centre, dtype=np.float64)
     if feat.shape != centre.shape:
         raise ScoringError(f"dimension mismatch: {feat.shape} vs {centre.shape}")
-    dev = feat - centre
-    quad = float(dev @ cho_solve(solve, dev))
-    return float(np.sqrt(max(quad, 0.0)))
+    y = np.linalg.solve(solve, feat - centre)
+    return math.sqrt(float(y @ y))
 
 
 def _score(feat: np.ndarray, model: CentreModel, section: int, clip_id: str) -> ScoreRecord:
     groups = model.groups_by_section.get(int(section))
     if not groups:
         raise ScoringError(f"section {section} not present in the {model.kind} model")
+    if not np.all(np.isfinite(feat)):
+        raise ScoringError("non-finite embedding")
     best_score = np.inf
     best_label = -1
     for group in groups:  # ascending label: ties resolve to the lowest label
@@ -148,6 +155,8 @@ def _score(feat: np.ndarray, model: CentreModel, section: int, clip_id: str) -> 
         if distance < best_score:
             best_score = distance
             best_label = group.label
+    if not math.isfinite(best_score):  # a finite embedding far enough out overflows
+        raise ScoringError("Mahalanobis distance overflows")
     return ScoreRecord(clip_id=clip_id, score=best_score, argmin_group=best_label)
 
 
@@ -188,7 +197,9 @@ def centre_model_from_tensors(
 ) -> CentreModel:
     """The centre model stored under ``prefix``. A name that is not
     ``prefix/<section>/<label>/<part>``, a group without its three parts, parts
-    whose shapes disagree or a covariance that will not factor raise ScoringError."""
+    whose shapes disagree, a non-finite part, a clip count below one, a
+    shrinkage that is not positive or a covariance that will not factor raise
+    ScoringError."""
     found: dict[int, dict[int, dict[str, np.ndarray]]] = {}
     marker = prefix + "/"
     for name, value in tensors.items():
@@ -210,12 +221,16 @@ def centre_model_from_tensors(
                 centre, cov, stats = (parts[part] for part in _PARTS)
                 if centre.ndim != 1 or cov.shape != centre.shape * 2 or stats.shape != (2,):
                     raise ValueError(f"shapes {centre.shape}, {cov.shape}, {stats.shape} misfit")
-                eps = float(stats[1])  # LinAlgError is a ValueError; int(inf) overflows
-                solve = _factor(cov, eps)
-                groups.append(GroupCentre(label, centre, cov, eps, int(stats[0]), solve))
+                if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(stats))):
+                    raise ValueError("non-finite centre or stats")
+                n_clips, eps = int(stats[0]), float(stats[1])
+                if n_clips < 1 or eps <= 0.0:
+                    raise ValueError(f"{n_clips} clips, shrinkage {eps}")
+                solve = _factor(cov, eps)  # checks cov; LinAlgError is a ValueError
+                groups.append(GroupCentre(label, centre, cov, eps, n_clips, solve))
             except KeyError as exc:
                 raise ScoringError(f"{base} has no {exc.args[0]} tensor") from None
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ScoringError(f"{base}: unusable centre statistics ({exc})") from None
         groups_by_section[section] = tuple(groups)
     return CentreModel(kind=kind, groups_by_section=groups_by_section)

@@ -640,6 +640,7 @@ _TENSOR_EDITS = {
         {"gizmo/param/conv1.w": tensors["gizmo/param/conv1.w"][..., :2]}),
     "non_integer_section": _rename_section,
     "missing_cov": lambda tensors: tensors.pop(_first(tensors, "gizmo/agc/", "/cov")),
+    "nan_centre": lambda tensors: tensors[_first(tensors, "gizmo/agc/", "/centre")].fill(np.nan),
     "centres_narrower_than_embedding": _narrow_centres,
 }
 
@@ -714,6 +715,33 @@ class TestCheckpointTrust:
         monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or real(self))
         self._score_a_stranger(trained, tmp_path, tiny_config_path, capsys, str(garbage))
         assert read and garbage not in read
+
+
+class TestNonFiniteEmbedding:
+    def test_a_nan_embedding_is_an_error_row(self, trained, tmp_path, tiny_config_path,
+                                             monkeypatch, capsys):
+        _, manifest, checkpoint, _ = trained
+        real = pipeline.forward_features
+        poisoned = []
+
+        def first_row_nan(params, x):
+            pair = real(params, x)
+            if not poisoned:
+                pair.feat_high[0] = np.nan
+                poisoned.append(1)
+            return pair
+
+        monkeypatch.setattr(pipeline, "forward_features", first_row_nan)
+        monkeypatch.delenv("HMIC_CACHE_DIR", raising=False)  # cache the NaN row in tmp_path
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--checkpoint", checkpoint, "--manifest", manifest,
+                       "--out", out, "--config", tiny_config_path) == 1
+        victim = next(e for e in read_manifest(manifest) if e.meta.split == "test")
+        assert capsys.readouterr().err == f"error: {victim.meta.clip_id}: non-finite embedding\n"
+        with out.open() as handle:
+            rows = {r["clip_id"]: r["score"] for r in csv.DictReader(handle)}
+        assert rows.pop(victim.meta.clip_id) == ""
+        assert rows and all(np.isfinite(float(score)) for score in rows.values())
 
 
 class TestUnreadableInputs:

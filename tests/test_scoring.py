@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmic
 from hmic.scoring import (
     ScoringError,
     centre_model_from_tensors,
@@ -113,6 +118,24 @@ class TestMahalanobis:
         via_inverse = math.sqrt(dev @ np.linalg.inv(cov + eps * np.eye(dim)) @ dev)
         assert abs(via_solve - via_inverse) < 1e-9 * max(1.0, via_inverse)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 8), n_clips=st.integers(1, 16))
+    def test_solve_matches_scipy_cholesky_oracle(self, seed, dim, n_clips):
+        # n_clips < dim gives a rank-deficient covariance that only the auto
+        # shrinkage makes positive definite; one clip gives a zero covariance
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(seed)
+        model = fit_simple(rng.normal(size=(n_clips, dim)), [0] * n_clips, [0] * n_clips)
+        group = model.groups_by_section[0][0]
+        a = rng.normal(size=(dim, dim))
+        spd = (a @ a.T, 10.0 ** rng.uniform(-6, -1))
+        for cov, eps in ((group.covariance, group.shrink_eps), spd):
+            dev = rng.normal(size=dim)
+            ours = mahalanobis(dev, np.zeros(dim), _factor(cov, eps))
+            oracle = math.sqrt(dev @ cho_solve(cho_factor(cov + eps * np.eye(dim)), dev))
+            assert abs(ours - oracle) < 1e-9 * max(1.0, oracle)
+
 
 class TestScoreAgc:
     def make_model(self):
@@ -159,6 +182,21 @@ class TestScoreAgc:
     def test_unknown_section_rejected(self):
         with pytest.raises(ScoringError, match="section"):
             score_agc(np.zeros(2), self.make_model(), 9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["agc", "dc"])
+    def test_non_finite_embedding_rejected(self, kind, bad):
+        labels = np.array(["source", "target"]) if kind == "dc" else np.array([0, 1])
+        fit, score = (fit_dc, score_dc) if kind == "dc" else (fit_agc, score_agc)
+        model = fit(np.eye(2), labels, np.zeros(2, int), shrinkage=1e-2)
+        with pytest.raises(ScoringError, match="non-finite embedding"):
+            score(np.array([0.0, bad]), model, 0)
+
+    def test_distance_overflow_rejected(self):
+        # a finite probe far out over a tiny absolute shrinkage overflows y @ y
+        model = fit_simple([[0.0, 0.0]], [0], [0], shrinkage=1e-300)
+        with pytest.raises(ScoringError, match="overflow"), np.errstate(over="ignore"):
+            score_agc(np.array([1e10, 0.0]), model, 0)
 
     def test_kind_mismatch_rejected(self):
         dc = fit_dc(np.zeros((2, 2)), np.array(["source", "target"]), np.zeros(2, int))
@@ -231,7 +269,10 @@ class TestTensorRoundTrip:
             assert b.score == pytest.approx(a.score, rel=1e-12)
             assert b.argmin_group == a.argmin_group
 
-    @pytest.mark.parametrize("fault", ["missing_stats", "misfit_cov", "not_positive_definite"])
+    @pytest.mark.parametrize("fault", [
+        "missing_stats", "misfit_cov", "not_positive_definite", "non_finite_centre",
+        "non_finite_cov", "nan_eps", "zero_eps", "zero_clips",
+    ])
     def test_a_damaged_centre_tensor_is_a_scoring_error(self, fault):
         rng = np.random.default_rng(8)
         model = fit_simple(rng.normal(size=(6, 3)), [0, 0, 0, 1, 1, 1], [0] * 6)
@@ -240,7 +281,25 @@ class TestTensorRoundTrip:
             del tensors["agc/0/1/stats"]
         elif fault == "misfit_cov":
             tensors["agc/0/1/cov"] = np.eye(2)
-        else:
+        elif fault == "not_positive_definite":
             tensors["agc/0/1/cov"] = -np.eye(3)
-        with pytest.raises(ScoringError, match="agc/0/"):
+        elif fault == "non_finite_centre":
+            tensors["agc/0/1/centre"] = np.array([0.0, np.nan, 0.0])
+        elif fault == "non_finite_cov":
+            tensors["agc/0/1/cov"] = np.full((3, 3), np.inf)
+        else:
+            n_clips, eps = {"nan_eps": (3.0, np.nan), "zero_eps": (3.0, 0.0),
+                            "zero_clips": (0.0, 1e-3)}[fault]
+            tensors["agc/0/1/stats"] = np.array([n_clips, eps])
+        with pytest.raises(ScoringError, match="agc/0/1"):
             centre_model_from_tensors(tensors, "agc", "agc")
+
+
+def test_no_hmic_module_imports_scipy():
+    # scipy is a test oracle only; importing it costs every process ~24 MB
+    code = ("import sys, hmic, hmic.cli, hmic.pipeline, hmic.scoring; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(hmic.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
