@@ -22,11 +22,20 @@ from .errors import HmicError
 # for 1/2/4/8/12/32 clips at 128x63, and 13.8/10.5/11.9/17.3/24.0 ms for
 # 1/2/4/8/32 clips at 128x313: past about 100k pixels each layer's temporaries
 # outgrow the cache and the kernel spends its time zeroing fresh pages for
-# them. A 32-clip training step in these chunks peaks at 39 MB (128x63) and
-# 33 MB (128x313) under tracemalloc, against 101 and 506 MB as one batch.
-# Scoring (``pipeline._embeddings``) stacks each chunk's float64 input only
-# when that chunk runs, so it holds one chunk of model input, not the batch.
+# them. A 32-clip training step in these chunks peaks at 20 MB (128x63) and
+# 17 MB (128x313) under tracemalloc in float32 (39 and 33 MB in float64),
+# against 101 and 506 MB as one float64 batch. Scoring
+# (``pipeline._embeddings``) stacks each chunk's float32 input only when that
+# chunk runs, so it holds one chunk of model input, not the batch.
 _CHUNK_PIXELS = 100_000
+
+# The network's compute dtype in training and scoring: float32 halves a step's
+# time and its heap against float64. It is a fixed convention, not a setting.
+# ``init_params`` still draws float64, so the finite-difference and other
+# float64 oracles run the same code on float64 tensors; the forward runs in
+# whatever dtype the parameters hold. Centre statistics, the checkpoint and
+# the embedding cache stay float64, which holds every float32 value exactly.
+NET_DTYPE = np.float32
 
 
 class ModelError(HmicError, ValueError):
@@ -59,10 +68,17 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Named float64 parameter tensors and the config that lays them out."""
+    """Named parameter tensors and the config that lays them out. They are
+    ``NET_DTYPE`` in training and scoring, float64 as ``init_params`` draws
+    them; the forward and backward compute in the tensors' dtype."""
 
     tensors: dict[str, np.ndarray]
     config: ModelConfig
+
+    def astype(self, dtype) -> ModelParams:
+        """A copy with every tensor in ``dtype``."""
+        return ModelParams({name: value.astype(dtype) for name, value in self.tensors.items()},
+                           self.config)
 
 
 @dataclass(frozen=True)
@@ -108,8 +124,8 @@ def init_params(
     return ModelParams(tensors=tensors, config=config)
 
 
-def _as_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x: np.ndarray, dtype) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 2:
         x = x[None, None]
     elif x.ndim == 3:
@@ -160,8 +176,9 @@ def _chunks(n_clips: int, height: int, width: int) -> list[slice]:
 def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     """Deterministic inference-mode feature extraction.
 
-    Accepts a single (H, W) matrix or a (B, 1, H, W) / (B, H, W) batch. The
-    batch runs in chunks of about ``_CHUNK_PIXELS`` input pixels and keeps no
+    Accepts a single (H, W) matrix or a (B, 1, H, W) / (B, H, W) batch, cast
+    to the parameters' dtype; the features come out in that dtype. The batch
+    runs in chunks of about ``_CHUNK_PIXELS`` input pixels and keeps no
     backward caches, so a chunk's heap peaks well under twice its largest
     temporary (conv2's column matrix); past that, glibc hands the heap back to
     the kernel after each chunk and the next one faults it in again. A clip's
@@ -169,7 +186,7 @@ def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
     conv's per-clip GEMM has 16 pixel columns and OpenBLAS sums a GEMM of
     fewer than 32 in another order, may they move in the last bit.
     """
-    x = _as_batch(x)
+    x = _as_batch(x, params.tensors["conv1.w"].dtype)
     pairs = [_forward(params, x[part]) for part in _chunks(x.shape[0], *x.shape[2:])]
     return FeaturePair(
         feat_low=np.concatenate([p.feat_low for p in pairs]),
@@ -222,7 +239,7 @@ def loss_and_grads(
     batch of at most ``_CHUNK_PIXELS`` pixels) computes bit for bit what one
     whole-batch pass would; more chunks move the gradients in the last bits.
     """
-    x = _as_batch(x)
+    x = _as_batch(x, params.tensors["conv1.w"].dtype)
     n_clips = x.shape[0]
     labels_id, labels_ag = np.asarray(labels_id), np.asarray(labels_ag)
     if n_clips == 0:

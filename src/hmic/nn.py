@@ -1,7 +1,10 @@
-"""Float64 conv-net primitives with explicit backward passes.
+"""Conv-net primitives with explicit backward passes, generic in dtype.
 
 Every forward function returns (output, cache); the matching backward takes
 the upstream gradient and the cache and returns input/parameter gradients.
+Each allocates in its input's dtype and scales only by Python floats, so a
+float32 network stays float32 and a float64 one, as the gradient checks use,
+stays float64.
 A backward may return None for an input gradient its caller does not need
 (``conv2d_backward(..., need_dx=False)``, used for the first conv, whose input
 is the log-Mel batch). Kept deliberately small so every gradient can be

@@ -11,13 +11,15 @@ clip IDs never share entries. The model sees each log-Mel standardized.
 Scoring caches each test clip's embedding (``feat_high``) next to its log-Mel,
 keyed by the WAV's sha256 and by what the forward adds to the log-Mel: the
 machine's parameter tensors (names, shapes, bytes). So the agc and dc scoring
-of one checkpoint run the forward once per clip, and a hit returns the exact
-float64 bytes the miss computed. Neither key covers the code: an edit to the
-front end or to the model needs an empty cache.
+of one checkpoint run the forward once per clip, and a hit returns exactly
+what the miss computed: the float32 embedding, stored as float64. Neither key
+covers the code: an edit to the front end or to the model needs an empty cache.
 
-Scoring builds the float64 model input one forward chunk (``model._chunks``)
-at a time, after checking that all of a machine's missed clips share one
-feature shape; test clips of a machine the checkpoint lacks are never read.
+Scoring runs the network in ``model.NET_DTYPE`` (float32), so a checkpoint
+whose weights are not float32 values scores with them rounded. It builds the
+float32 model input one forward chunk (``model._chunks``) at a time, after
+checking that all of a machine's missed clips share one feature shape; test
+clips of a machine the checkpoint lacks are never read.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import (ManifestEntry, assign_labels, build_label_space, read_csv_rows,
                        read_manifest)
-from .model import ModelConfig, ModelParams, _chunks, forward_features, init_params
+from .model import (NET_DTYPE, ModelConfig, ModelParams, _chunks, forward_features,
+                    init_params)
 from .training import train, write_training_log
 
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
@@ -108,9 +111,10 @@ def _feature_shape(entries, features) -> tuple[int, int]:
 
 
 def _stack_inputs(entries, features, shape) -> np.ndarray:
-    """(N, 1, H, W) standardized model inputs of clips whose log-Mels have the
-    checked (H, W) ``shape``; each clip's float64 copy dies once stacked."""
-    stack = np.empty((len(entries), 1, *shape))
+    """(N, 1, H, W) ``NET_DTYPE`` standardized model inputs of clips whose
+    log-Mels have the checked (H, W) ``shape``. Each clip is standardized in
+    float64, and that copy dies once stacked."""
+    stack = np.empty((len(entries), 1, *shape), dtype=NET_DTYPE)
     for i, e in enumerate(entries):
         stack[i, 0] = dsp.standardize(features[e.meta.clip_id])
     return stack
@@ -129,7 +133,7 @@ def _forward_key(params: ModelParams) -> str:
 def _embeddings(params, entries, features, wav_digests, cache_dir) -> np.ndarray:
     """(N, d_h) ``feat_high`` rows. One cache file per forward key holds a row
     per WAV sha256; only the clips without a row run the forward, one model
-    chunk of standardized float64 inputs at a time, and then the file is
+    chunk of standardized float32 inputs at a time, and then the file is
     rewritten with the old rows and the new. One file, not one per clip,
     because creating a file takes about 0.5 ms on a 2-core VM, a quarter of a
     128x63 clip's forward. A truncated or garbage file counts as empty. When
@@ -146,7 +150,7 @@ def _embeddings(params, entries, features, wav_digests, cache_dir) -> np.ndarray
         rows.update(zip((wav_digests[e.meta.clip_id] for e in missed), computed))
         dsp._write_entry(path, EMBEDDING_MAGIC, *(
             bytes.fromhex(digest) + row.astype("<f8").tobytes() for digest, row in rows.items()))
-    return np.array([rows[wav_digests[e.meta.clip_id]] for e in entries])
+    return np.array([rows[wav_digests[e.meta.clip_id]] for e in entries], dtype=np.float64)
 
 
 def _read_embeddings(path: Path, dim: int) -> dict[str, np.ndarray]:
@@ -228,8 +232,9 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
 
 
 def _params_from_checkpoint(tensors, machine: str, model_config: ModelConfig) -> ModelParams:
-    """The machine's parameter tensors, checked name by name and shape by shape
-    against what ``init_params`` lays out for the classifier sizes they hold."""
+    """The machine's parameter tensors in ``NET_DTYPE``, checked name by name
+    and shape by shape against what ``init_params`` lays out for the
+    classifier sizes they hold."""
     prefix = f"{machine}/param/"
     own = {name[len(prefix):]: value for name, value in tensors.items()
            if name.startswith(prefix)}
@@ -244,7 +249,7 @@ def _params_from_checkpoint(tensors, machine: str, model_config: ModelConfig) ->
         raise PipelineError(f"{prefix} tensors do not match the model config: checkpoint has "
                             f"{sorted(found.items() - expected.items())}, config lays out "
                             f"{sorted(expected.items() - found.items())}")
-    return ModelParams(tensors=own, config=model_config)
+    return ModelParams(tensors=own, config=model_config).astype(NET_DTYPE)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Seeded training loop (Adam + cosine learning-rate annealing) and gradient checking.
 
-Everything runs in float64 single-threaded over the optimizer state, so two
-runs with the same seed and config produce bitwise-identical parameters.
+Training runs in ``NET_DTYPE`` (float32): the weights, Adam's moments and
+every array of a step. Only scalars (the learning rate, the losses and their
+epoch sums) are float64.
+Everything runs single-threaded over the optimizer state, so two runs with the
+same seed and config produce bitwise-identical parameters. ``gradient_check``
+needs float64 parameters, as ``init_params`` draws them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HmicError
-from .model import ModelConfig, ModelParams, init_params, loss_and_grads
+from .model import NET_DTYPE, ModelConfig, ModelParams, init_params, loss_and_grads
 
 
 class TrainingError(HmicError, ValueError):
@@ -47,11 +51,14 @@ class EpochStats:
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_max: float, lr_min: float) -> float:
-    """Anneal from lr_max (first epoch) to lr_min (last epoch)."""
+    """Anneal from lr_max (first epoch) to lr_min (last epoch).
+
+    A Python float: an ``np.float64`` would promote every float32 Adam update
+    to a float64 temporary under NumPy 2's promotion rules."""
     if total_epochs <= 1:
         return lr_max
     t = epoch / (total_epochs - 1)
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * t))
+    return float(lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * t)))
 
 
 class AdamState:
@@ -89,7 +96,7 @@ def train(
     features: (N, 1, H, W) or (N, H, W) float array of standardized log-Mel
     matrices. Mini-batches are a fresh uniform permutation each epoch.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=NET_DTYPE)
     if features.ndim == 3:
         features = features[:, None]
     n_clips = features.shape[0]
@@ -106,7 +113,7 @@ def train(
 
     init_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 0]))
     batch_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
-    params = init_params(model_config, n_sections, n_groups, init_rng)
+    params = init_params(model_config, n_sections, n_groups, init_rng).astype(NET_DTYPE)
     adam = AdamState(params.tensors)
 
     log: list[EpochStats] = []
@@ -158,8 +165,13 @@ def gradient_check(
     """Max relative error between analytic and central finite-difference gradients.
 
     Perturbs every element of every parameter tensor, so keep this to
-    micro-configurations.
+    micro-configurations. The tensors must be float64: a step of ``eps`` is
+    below float32's resolution near 1.
     """
+    for name, tensor in params.tensors.items():
+        if tensor.dtype != np.float64:
+            raise TrainingError(f"gradient_check needs float64 parameters, "
+                                f"{name} is {tensor.dtype}")
 
     def total_loss() -> float:
         breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag, id_loss_weight)

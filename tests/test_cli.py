@@ -683,6 +683,29 @@ class TestCheckpointTrust:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_weights_that_are_not_float32_values_score_rounded(self, trained, tmp_path,
+                                                               tiny_config_path):
+        # Checkpoints trained in float64 hold weights that float32 cannot
+        # represent. The network computes in float32, so they score with their
+        # weights rounded: here a nudge below half a float32 ulp rounds away.
+        _, manifest, checkpoint, _ = trained
+
+        def nudge(tensors):
+            for name in [n for n in tensors if n.startswith("gizmo/param/")]:
+                tensors[name] = tensors[name] * (1.0 + 2.0**-40)
+            assert not np.array_equal(tensors["gizmo/param/conv1.w"],
+                                      tensors["gizmo/param/conv1.w"].astype(np.float32))
+
+        clean = tmp_path / "clean" / "scores.csv"
+        assert self._score(checkpoint, manifest, clean, tiny_config_path) == 0
+        edited = self._edited(checkpoint, tmp_path / "edited.hmic", nudge, False)
+        out = tmp_path / "edited" / "scores.csv"
+        assert self._score(edited, manifest, out, tiny_config_path) == 0
+        scores = read_scores_csv(out)
+        n_test = sum(e.meta.split == "test" for e in read_manifest(manifest))
+        assert len(scores) == n_test and all(np.isfinite(list(scores.values())))
+        assert out.read_bytes() == clean.read_bytes()
+
     def _score_a_stranger(self, trained, tmp_path, config_path, capsys, path=None):
         """Scores the manifest with its first test clip moved to machine type
         'widget' (and to ``path`` when given), and checks the error row and

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hmic import model
-from hmic.model import ModelConfig, init_params, loss_and_grads
-from hmic.training import gradient_check
+from hmic.model import NET_DTYPE, ModelConfig, init_params, loss_and_grads
+from hmic.training import TrainingError, gradient_check
 
 MICRO = ModelConfig(channels=(2, 3, 4), head_channels=4)
 
@@ -80,3 +80,29 @@ def test_loss_across_chunks_is_linear_in_the_weight(batch, micro_chunks):
         assert breakdown.loss_total == (
             weight * breakdown.loss_id + (1.0 - weight) * breakdown.loss_ag
         )
+
+
+def test_gradient_check_refuses_float32_parameters(batch):
+    # eps = 1e-5 is below float32's resolution near 1, so a float32 check
+    # would read a meaningless error instead of failing.
+    x, labels_id, labels_ag = batch
+    with pytest.raises(TrainingError, match="needs float64 parameters, conv1.w is float32"):
+        gradient_check(fresh_params().astype(NET_DTYPE), x, labels_id, labels_ag, 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_step_matches_the_float64_step_of_the_same_params(seed):
+    # One default-size 32-clip step in three chunks: the float32 gradients
+    # agree with the float64 gradients of the same (float32-exact) weights to
+    # within 1e-5 of each tensor's largest gradient.
+    rng = np.random.default_rng(seed)
+    params = init_params(ModelConfig(), 6, 12, rng).astype(NET_DTYPE)
+    x = rng.normal(size=(32, 1, 128, 63)).astype(NET_DTYPE)
+    labels = np.arange(32)
+    low, low_grads = loss_and_grads(params, x, labels % 6, labels % 12, 0.5)
+    high, high_grads = loss_and_grads(params.astype(np.float64), x, labels % 6, labels % 12, 0.5)
+    assert low.loss_total == pytest.approx(high.loss_total, rel=1e-6)
+    for name, grad in high_grads.items():
+        assert low_grads[name].dtype == NET_DTYPE
+        worst = np.abs(low_grads[name] - grad).max() / np.abs(grad).max()
+        assert worst < 1e-5, (name, worst)

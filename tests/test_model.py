@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from hmic import nn
 from hmic.model import (
+    NET_DTYPE,
     FeaturePair,
     ModelConfig,
     ModelError,
@@ -262,19 +263,29 @@ class TestForwardFeatures:
         pair = forward_features(micro_params(), np.zeros((0, 1, 16, 16)))
         assert pair.feat_low.shape == (0, 4) and pair.feat_high.shape == (0, 4)
 
-    def test_inference_memory_stays_bounded(self):
-        # 32 clips at 128x313 peak near 16 MB in chunks of two clips; as one
-        # 32-clip batch they peaked at about 360 MB.
+    @staticmethod
+    def _forward_peak(dtype):
         rng = np.random.default_rng(10)
-        params = init_params(ModelConfig(), 6, 12, rng)
-        x = rng.normal(size=(32, 1, 128, 313))
+        params = init_params(ModelConfig(), 6, 12, rng).astype(dtype)
+        x = rng.normal(size=(32, 1, 128, 313)).astype(dtype)
         tracemalloc.start()
         try:
             forward_features(params, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_inference_memory_stays_bounded(self):
+        # 32 clips at 128x313 peak near 16 MB in chunks of two clips; as one
+        # 32-clip batch they peaked at about 360 MB.
+        peak = self._forward_peak(np.float64)
         assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_float32_inference_memory_stays_bounded(self):
+        # The network's own dtype halves the float64 peak, to near 8 MB.
+        peak = self._forward_peak(NET_DTYPE)
+        assert peak < 30e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def head_logits(params, pair):
@@ -489,10 +500,10 @@ class TestBackward:
         assert [entry for entry in seen if not entry[2]] == []
 
     @staticmethod
-    def _step_peak(n_frames):
+    def _step_peak(n_frames, dtype=np.float64):
         rng = np.random.default_rng(9)
-        params = init_params(ModelConfig(), 6, 12, rng)
-        x = rng.normal(size=(32, 1, 128, n_frames))
+        params = init_params(ModelConfig(), 6, 12, rng).astype(dtype)
+        x = rng.normal(size=(32, 1, 128, n_frames)).astype(dtype)
         labels = np.arange(32)
         tracemalloc.start()
         try:
@@ -514,3 +525,13 @@ class TestBackward:
         # batch they peaked at 506 MB.
         peak = self._step_peak(313)
         assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_float32_training_step_memory_stays_bounded(self):
+        # Near 20 MB, half the float64 step's peak.
+        peak = self._step_peak(63, NET_DTYPE)
+        assert peak < 30e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_float32_training_step_memory_stays_bounded_at_dcase_size(self):
+        # Near 17 MB, half the float64 step's peak.
+        peak = self._step_peak(313, NET_DTYPE)
+        assert peak < 30e6, f"peak {peak / 1e6:.0f} MB"

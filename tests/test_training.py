@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hmic.model import ModelConfig, init_params
+from hmic.model import ModelConfig, init_params, loss_and_grads
 from hmic.training import TrainConfig, TrainingError, cosine_lr, train, write_training_log
 
 MICRO = ModelConfig(channels=(2, 3, 4), head_channels=4)
@@ -33,6 +33,11 @@ class TestCosineSchedule:
         mid = cosine_lr(29, 59, 1e-4, 1e-6)
         assert mid == pytest.approx((1e-4 + 1e-6) / 2)
 
+    def test_rates_are_python_floats(self):
+        # An np.float64 rate would make every float32 Adam update build a
+        # float64 temporary per tensor under NumPy 2's promotion rules.
+        assert all(type(cosine_lr(e, 7, 1e-4, 1e-6)) is float for e in range(7))
+
     def test_single_epoch_uses_max(self):
         assert cosine_lr(0, 1, 1e-4, 1e-6) == 1e-4
 
@@ -59,7 +64,17 @@ class TestTrain:
         second, _ = train(matrices, labels, labels, 2, 2, MICRO, config)
         assert first.tensors.keys() == second.tensors.keys()
         for name in first.tensors:
+            assert first.tensors[name].dtype == np.float32
             np.testing.assert_array_equal(first.tensors[name], second.tensors[name])
+
+    def test_training_stays_float32(self):
+        matrices, labels = separable_corpus(n_per_class=4)
+        params, _ = train(matrices, labels, labels, 2, 2, MICRO,
+                          TrainConfig(epochs=2, batch_size=4, seed=4))
+        assert {value.dtype for value in params.tensors.values()} == {np.dtype(np.float32)}
+        _, grads = loss_and_grads(params, matrices, labels, labels, 0.5)
+        assert grads.keys() == params.tensors.keys()
+        assert {grad.dtype for grad in grads.values()} == {np.dtype(np.float32)}
 
     def test_different_seed_changes_parameters(self):
         matrices, labels = separable_corpus()
@@ -78,9 +93,10 @@ class TestTrain:
         params, log = train(matrices, labels, labels, 2, 2,
                             replace(MICRO, id_loss_weight=1.0), config)
         init = init_params(MICRO, 2, 2, np.random.default_rng(np.random.SeedSequence([3, 0])))
-        np.testing.assert_array_equal(params.tensors["cls_ag.w"], init.tensors["cls_ag.w"])
-        np.testing.assert_array_equal(params.tensors["head.w"], init.tensors["head.w"])
-        assert not np.array_equal(params.tensors["cls_id.w"], init.tensors["cls_id.w"])
+        start = init.astype(np.float32).tensors
+        np.testing.assert_array_equal(params.tensors["cls_ag.w"], start["cls_ag.w"])
+        np.testing.assert_array_equal(params.tensors["head.w"], start["head.w"])
+        assert not np.array_equal(params.tensors["cls_id.w"], start["cls_id.w"])
         assert all(row.loss_total == row.loss_id for row in log)
 
     def test_attribute_only_leaves_id_head_at_init(self):
@@ -89,8 +105,9 @@ class TestTrain:
         params, log = train(matrices, labels, labels, 2, 2,
                             replace(MICRO, id_loss_weight=0.0), config)
         init = init_params(MICRO, 2, 2, np.random.default_rng(np.random.SeedSequence([3, 0])))
-        np.testing.assert_array_equal(params.tensors["cls_id.w"], init.tensors["cls_id.w"])
-        assert not np.array_equal(params.tensors["conv1.w"], init.tensors["conv1.w"])
+        start = init.astype(np.float32).tensors
+        np.testing.assert_array_equal(params.tensors["cls_id.w"], start["cls_id.w"])
+        assert not np.array_equal(params.tensors["conv1.w"], start["conv1.w"])
         assert all(row.loss_total == row.loss_ag for row in log)
 
     def test_non_finite_loss_aborts_before_the_update(self):
