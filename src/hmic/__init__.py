@@ -17,7 +17,7 @@ from .metadata import (
     parse_dcase_filename,
 )
 from .model import FeaturePair, LossBreakdown, ModelConfig, ModelParams, forward_features
-from .scoring import CentreModel, ScoreRecord, fit_agc, fit_dc, mahalanobis, score_agc, score_dc
+from .scoring import CentreModel, fit_agc, fit_dc, mahalanobis, score_agc, score_dc
 from .training import TrainConfig, gradient_check, train
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "RunConfig",
-    "ScoreRecord",
     "ScoredClip",
     "TrainConfig",
     "Waveform",

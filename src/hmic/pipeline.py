@@ -305,43 +305,32 @@ def run_score(
                                 corpus_root, config, workdir, wav_digests)
     cache_dir = _cache_dir(workdir)
 
-    records: dict[str, scoring.ScoreRecord] = {}
+    scored: dict[str, tuple[str, int]] = {}  # clip_id -> CSV score, argmin group
     errors: list[str] = []
     by_machine: dict[str, list[ManifestEntry]] = {}
     for entry in test_entries:
         by_machine.setdefault(entry.meta.machine_type, []).append(entry)
+    score_fn = scoring.score_agc if config.scoring_mode == "agc" else scoring.score_dc
     for machine, own in by_machine.items():
         if machine not in models:
             errors.extend(f"{e.meta.clip_id}: unknown machine type {machine!r}" for e in own)
             continue
         feat_high = _embeddings(params[machine], own, features, wav_digests, cache_dir)
-        score_fn = scoring.score_agc if config.scoring_mode == "agc" else scoring.score_dc
+        scores, argmins, failed = score_fn(feat_high, models[machine],
+                                           np.array([e.meta.section_id for e in own]))
         for i, entry in enumerate(own):
-            try:
-                record = score_fn(
-                    feat_high[i],
-                    models[machine],
-                    entry.meta.section_id,
-                    entry.meta.clip_id,
-                )
-            except scoring.ScoringError as exc:
-                errors.append(f"{entry.meta.clip_id}: {exc}")
-                continue
-            records[entry.meta.clip_id] = record
+            if i in failed:
+                errors.append(f"{entry.meta.clip_id}: {failed[i]}")
+            else:
+                scored[entry.meta.clip_id] = f"{scores[i]:.12g}", int(argmins[i])
 
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     with out_csv.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(SCORE_COLUMNS)
         for entry in test_entries:
-            record = records.get(entry.meta.clip_id)
-            if record is None:
-                writer.writerow([entry.meta.clip_id, entry.meta.section_id, "", ""])
-            else:
-                writer.writerow(
-                    [record.clip_id, entry.meta.section_id, f"{record.score:.12g}",
-                     record.argmin_group]
-                )
+            writer.writerow([entry.meta.clip_id, entry.meta.section_id,
+                             *scored.get(entry.meta.clip_id, ("", ""))])
     return ScoreOutcome(rows=len(test_entries), errors=tuple(errors))
 
 

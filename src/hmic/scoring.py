@@ -3,14 +3,14 @@
 Two centre layouts share one implementation: attribute-group centres (one
 centre per attribute group under a section) and domain centres (one centre per
 source/target domain under a section). Covariances are population covariances
-with diagonal shrinkage so single-clip groups stay invertible; distances are
-computed through a Cholesky factor and triangular solve, never an explicit
-inverse.
+with diagonal shrinkage so single-clip groups stay invertible. A machine's
+test clips are scored in one call: each (section, group) runs one LU solve of
+its Cholesky factor, with all of the section's clips as right-hand sides,
+because numpy has no triangular solve. No explicit inverse is ever formed.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -32,7 +32,7 @@ class GroupCentre:
     covariance: np.ndarray  # (d, d), unshrunk population covariance
     shrink_eps: float
     n_clips: int
-    solve: np.ndarray  # lower Cholesky factor of (covariance + shrink_eps * I)
+    solve: np.ndarray  # lower Cholesky factor of (covariance + shrink_eps * I), LU-solved
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,10 @@ class CentreModel:
     groups_by_section: dict[int, tuple[GroupCentre, ...]]  # ascending label order
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    clip_id: str
-    score: float
-    argmin_group: int
-
-
 SHRINKAGE_REL = 1e-3
+
+# (N,) scores, (N,) argmin group labels, row -> error; an error row scores NaN, argmin -1
+Scores = tuple[np.ndarray, np.ndarray, dict[int, str]]
 
 
 def _shrink_eps(cov: np.ndarray, override: float | None) -> float:
@@ -131,47 +127,63 @@ def fit_dc(
     return _fit(feats, labels, sections, "dc", shrinkage)
 
 
-def mahalanobis(feat: np.ndarray, centre: np.ndarray, solve: np.ndarray) -> float:
-    """sqrt((f - c)^T (Sigma + eps I)^{-1} (f - c)) = |L^{-1} (f - c)| for the
-    lower Cholesky factor ``solve`` = L of Sigma + eps I."""
-    feat = np.asarray(feat, dtype=np.float64)
+def mahalanobis(feats: np.ndarray, centre: np.ndarray, solve: np.ndarray) -> np.ndarray:
+    """(n,) distances sqrt((f - c)^T (Sigma + eps I)^{-1} (f - c)) = |L^{-1} (f - c)|
+    of the rows f of ``feats`` (n, d), for the lower Cholesky factor ``solve`` = L
+    of Sigma + eps I: one LU solve with every row as a right-hand side."""
+    feats = np.asarray(feats, dtype=np.float64)
     centre = np.asarray(centre, dtype=np.float64)
-    if feat.shape != centre.shape:
-        raise ScoringError(f"dimension mismatch: {feat.shape} vs {centre.shape}")
-    y = np.linalg.solve(solve, feat - centre)
-    return math.sqrt(float(y @ y))
+    if feats.ndim != 2 or feats.shape[1:] != centre.shape:
+        raise ScoringError(f"dimension mismatch: rows {feats.shape} vs centre {centre.shape}")
+    y = np.linalg.solve(solve, (feats - centre).T)
+    with np.errstate(over="ignore"):  # a finite row far enough out overflows to inf
+        return np.sqrt((y * y).sum(axis=0))
 
 
-def _score(feat: np.ndarray, model: CentreModel, section: int, clip_id: str) -> ScoreRecord:
-    groups = model.groups_by_section.get(int(section))
-    if not groups:
-        raise ScoringError(f"section {section} not present in the {model.kind} model")
-    if not np.all(np.isfinite(feat)):
-        raise ScoringError("non-finite embedding")
-    best_score = np.inf
-    best_label = -1
-    for group in groups:  # ascending label: ties resolve to the lowest label
-        distance = mahalanobis(feat, group.centre, group.solve)
-        if distance < best_score:
-            best_score = distance
-            best_label = group.label
-    if not math.isfinite(best_score):  # a finite embedding far enough out overflows
-        raise ScoringError("Mahalanobis distance overflows")
-    return ScoreRecord(clip_id=clip_id, score=best_score, argmin_group=best_label)
+def _score(feats: np.ndarray, model: CentreModel, sections: np.ndarray) -> Scores:
+    feats = np.asarray(feats, dtype=np.float64)
+    sections = np.asarray(sections)
+    if feats.ndim != 2 or sections.shape != feats.shape[:1]:
+        raise ScoringError(f"expected (N, d) embeddings and N sections, got {feats.shape} "
+                           f"and {sections.shape}")
+    scores, argmins = np.full(len(feats), np.nan), np.full(len(feats), -1)
+    errors: dict[int, str] = {}
+    for section in sorted(set(sections.tolist())):  # np.unique loads numpy.ma: 1.6 MB RSS
+        rows = np.flatnonzero(sections == section)
+        groups = model.groups_by_section.get(section)
+        if not groups:
+            errors.update((i, f"section {section} not present in the {model.kind} model")
+                          for i in rows.tolist())
+            continue
+        finite = np.all(np.isfinite(feats[rows]), axis=1)
+        errors.update((i, "non-finite embedding") for i in rows[~finite].tolist())
+        rows = rows[finite]
+        own = feats[rows]
+        best, labels = np.full(len(rows), np.inf), np.full(len(rows), -1)
+        # ascending label with a strict <: ties go to the lowest label
+        for group in groups:
+            distance = mahalanobis(own, group.centre, group.solve)
+            closer = distance < best
+            best[closer], labels[closer] = distance[closer], group.label
+        overflows = ~np.isfinite(best)  # a finite embedding far enough out overflows
+        errors.update((i, "Mahalanobis distance overflows") for i in rows[overflows].tolist())
+        scores[rows[~overflows]], argmins[rows[~overflows]] = best[~overflows], labels[~overflows]
+    return scores, argmins, errors
 
 
-def score_agc(feat: np.ndarray, model: CentreModel, section: int, clip_id: str = "") -> ScoreRecord:
-    """Minimum Mahalanobis distance over the section's attribute-group centres."""
+def score_agc(feats: np.ndarray, model: CentreModel, sections: np.ndarray) -> Scores:
+    """Minimum Mahalanobis distance of each row of ``feats`` (N, d) over the
+    attribute-group centres of its entry in ``sections`` (N,)."""
     if model.kind != "agc":
         raise ScoringError(f"expected an attribute-group-centre model, got {model.kind!r}")
-    return _score(feat, model, section, clip_id)
+    return _score(feats, model, sections)
 
 
-def score_dc(feat: np.ndarray, model: CentreModel, section: int, clip_id: str = "") -> ScoreRecord:
-    """Minimum Mahalanobis distance over the section's domain centres."""
+def score_dc(feats: np.ndarray, model: CentreModel, sections: np.ndarray) -> Scores:
+    """``score_agc`` over the section's domain centres."""
     if model.kind != "dc":
         raise ScoringError(f"expected a domain-centre model, got {model.kind!r}")
-    return _score(feat, model, section, clip_id)
+    return _score(feats, model, sections)
 
 
 # --- checkpoint (de)serialization -------------------------------------------

@@ -169,7 +169,7 @@ def test_scoring_solver_oracle():
         cov = a @ a.T
         eps = 10.0 ** rng.uniform(-6, -1)
         dev = rng.normal(size=dim)
-        via_solve = mahalanobis(dev, np.zeros(dim), _factor(cov, eps))
+        (via_solve,) = mahalanobis(dev[None], np.zeros(dim), _factor(cov, eps))
         via_inverse = math.sqrt(dev @ np.linalg.inv(cov + eps * np.eye(dim)) @ dev)
         # distances reach ~1e3 on ill-conditioned draws: compare scale-aware
         worst = max(worst, abs(via_solve - via_inverse) / max(1.0, via_inverse))
@@ -182,13 +182,13 @@ def test_scoring_solver_oracle():
         labels = rng.integers(0, 4, n)
         labels[:4] = np.arange(4)  # every group non-empty
         model = fit_agc(feats, labels, np.zeros(n, int))
-        probe = rng.normal(size=3)
-        record = score_agc(probe, model, 0)
+        probe = rng.normal(size=(1, 3))  # a batch of one
+        scores, argmins, errors = score_agc(probe, model, np.zeros(1, int))
         distances = [
-            mahalanobis(probe, g.centre, g.solve) for g in model.groups_by_section[0]
+            mahalanobis(probe, g.centre, g.solve)[0] for g in model.groups_by_section[0]
         ]
-        min_ok = min_ok and record.score == min(distances)
-        min_ok = min_ok and record.argmin_group == int(np.argmin(distances))
+        min_ok = min_ok and not errors and scores[0] == min(distances)
+        min_ok = min_ok and argmins[0] == int(np.argmin(distances))
     elapsed = time.monotonic() - start
     ok = solver_ok and min_ok and elapsed < 10.0
     report(

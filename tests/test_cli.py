@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmic import dsp, model, pipeline
+from hmic import dsp, model, pipeline, scoring
 from hmic.checkpoint import load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
 from hmic.config import ConfigError, load_run_config
@@ -189,6 +190,39 @@ class TestScore:
         assert rows[victim.meta.clip_id]["score"] == ""
         others = [r for cid, r in rows.items() if cid != victim.meta.clip_id]
         assert all(r["score"] != "" for r in others)
+
+    def test_a_clip_of_a_new_section_is_the_one_blank_row(self, trained, tmp_path,
+                                                          tiny_config_path, capsys):
+        # the README's promise: a clip whose section the centres lack gets a
+        # blank row and one error line, and every other clip scores as before
+        corpus_root, manifest, checkpoint, _ = trained
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
+        first = next(e for e in entries if e.meta.split == "test")
+        stranger = replace(first, meta=replace(first.meta, clip_id="stranger", section_id=9))
+        write_manifest(entries, tmp_path / "clean.csv")
+        write_manifest(entries + [stranger], tmp_path / "stranger.csv")
+
+        def score(name):
+            code = run_cli("score", "--checkpoint", checkpoint, "--manifest", tmp_path / name,
+                           "--out", tmp_path / f"scores_{name}", "--config", tiny_config_path)
+            with (tmp_path / f"scores_{name}").open() as handle:
+                return code, {r["clip_id"]: r for r in csv.DictReader(handle)}
+
+        code, clean = score("clean.csv")
+        assert code == 0
+        capsys.readouterr()
+        code, rows = score("stranger.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: stranger: section 9 not present in the agc model\n"
+        assert rows.pop("stranger") == {"clip_id": "stranger", "section": "9", "score": "",
+                                         "argmin_group": ""}
+        assert rows.keys() == clean.keys()
+        for clip_id, row in rows.items():
+            old = float(clean[clip_id]["score"])
+            last_digit = 10.0 ** (math.floor(math.log10(old)) - 11)  # of the CSV's 12 digits
+            assert abs(float(row["score"]) - old) <= last_digit
+            assert row["argmin_group"] == clean[clip_id]["argmin_group"]
 
     def test_train_clips_score_near_zero_against_own_group(self, trained, tmp_path,
                                                            tiny_config_path):
@@ -530,6 +564,33 @@ class TestScoringMemory:
         first = model._chunks(n_test, dsp.N_MELS, 313)[0]
         assert sum(forward_clips) == n_test
         assert max(forward_clips) == first.stop < n_test  # one chunk per call
+
+
+class TestTracedScoring:
+    def test_bench_hooks_see_one_score_per_machine_and_one_solve_per_group(
+            self, trained, tmp_path, monkeypatch):
+        # bench/run.py --trace 1 exits when scoring.score or scoring.mahalanobis
+        # records no call; this keeps a rename or an un-batching from reaching it
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import layers
+        import spans
+
+        _, manifest, checkpoint, _ = trained
+        recorder = spans.Recorder()
+        with spans.installed(recorder, layers.hooks()):
+            outcome = pipeline.run_score(make_tiny_config(), checkpoint, manifest,
+                                         tmp_path / "scores.csv", tmp_path)
+        assert not outcome.errors
+        calls = {name: t.calls for name, t in spans.totals_by_name(recorder.spans).items()}
+        tested = {(e.meta.machine_type, e.meta.section_id)
+                  for e in read_manifest(manifest) if e.meta.split == "test"}
+        tensors, _, _ = load_checkpoint(checkpoint)
+        centres = {machine: scoring.centre_model_from_tensors(tensors, f"{machine}/agc", "agc")
+                   for machine, _ in tested}
+        pairs = sum(len(centres[machine].groups_by_section[section])
+                    for machine, section in tested)
+        assert calls["scoring.score"] == len(centres) >= 1
+        assert calls["scoring.mahalanobis"] == pairs >= 1
 
 
 class TestFeatureShapeCheck:

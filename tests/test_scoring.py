@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hmic
 from hmic.scoring import (
+    CentreModel,
     ScoringError,
     centre_model_from_tensors,
     centre_model_to_tensors,
@@ -27,6 +28,21 @@ def fit_simple(feats, labels, sections, **kwargs):
     return fit_agc(np.asarray(feats, float), np.asarray(labels), np.asarray(sections), **kwargs)
 
 
+def score_one(probe, model, section=0, score=score_agc):
+    """(score, argmin group) of one probe scored as a batch of one, which must
+    not error."""
+    scores, argmins, errors = score(np.asarray(probe, float)[None], model, np.array([section]))
+    assert errors == {}
+    return scores[0], argmins[0]
+
+
+def errors_of_one(probe, model, section=0, score=score_agc):
+    """The error messages of one probe scored as a batch of one."""
+    scores, argmins, errors = score(np.asarray(probe, float)[None], model, np.array([section]))
+    assert np.isnan(scores[0]) and argmins[0] == -1
+    return errors
+
+
 class TestFitAgc:
     def test_single_clip_group(self):
         model = fit_simple([[2.0, -1.0]], [0], [0], shrinkage=1e-3)
@@ -35,8 +51,8 @@ class TestFitAgc:
         np.testing.assert_array_equal(group.covariance, np.zeros((2, 2)))
         assert group.n_clips == 1
         # factorization is of eps * I, so distance is Euclidean / sqrt(eps)
-        record = score_agc(np.array([2.0, 0.0]), model, 0)
-        assert record.score == pytest.approx(1.0 / math.sqrt(1e-3))
+        score, _ = score_one([2.0, 0.0], model)
+        assert score == pytest.approx(1.0 / math.sqrt(1e-3))
 
     def test_two_point_hand_covariance(self):
         # clips (1,0) and (-1,0): centre (0,0), population covariance diag(1, 0)
@@ -45,8 +61,8 @@ class TestFitAgc:
         np.testing.assert_array_equal(group.centre, [0.0, 0.0])
         np.testing.assert_array_equal(group.covariance, np.diag([1.0, 0.0]))
         # shrunk matrix diag(1.5, 0.5): distance of (0, 1) is 1/sqrt(0.5)
-        record = score_agc(np.array([0.0, 1.0]), model, 0)
-        assert record.score == pytest.approx(1.0 / math.sqrt(0.5))
+        score, _ = score_one([0.0, 1.0], model)
+        assert score == pytest.approx(1.0 / math.sqrt(0.5))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -87,23 +103,23 @@ class TestFitAgc:
 class TestMahalanobis:
     def test_identity_covariance_is_euclidean(self):
         solve = _factor(np.zeros((3, 3)), 1.0)
-        dist = mahalanobis(np.array([1.0, 2.0, 2.0]), np.zeros(3), solve)
+        (dist,) = mahalanobis(np.array([[1.0, 2.0, 2.0]]), np.zeros(3), solve)
         assert dist == pytest.approx(3.0)
 
     def test_zero_at_centre(self):
         solve = _factor(np.eye(2) * 0.7, 1e-3)
-        assert mahalanobis(np.array([0.4, -0.2]), np.array([0.4, -0.2]), solve) == 0.0
+        assert mahalanobis(np.array([[0.4, -0.2]]), np.array([0.4, -0.2]), solve)[0] == 0.0
 
     def test_diagonal_hand_case(self):
         # (Sigma + eps I) = diag(4, 1), deviation (2, 3): sqrt(4/4 + 9/1) = sqrt(10)
         solve = _factor(np.diag([3.0, 0.0]), 1.0)
-        dist = mahalanobis(np.array([2.0, 3.0]), np.zeros(2), solve)
+        (dist,) = mahalanobis(np.array([[2.0, 3.0]]), np.zeros(2), solve)
         assert dist == pytest.approx(math.sqrt(10.0))
 
     def test_dimension_mismatch(self):
         solve = _factor(np.eye(2), 1e-3)
         with pytest.raises(ScoringError, match="mismatch"):
-            mahalanobis(np.zeros(3), np.zeros(2), solve)
+            mahalanobis(np.zeros((1, 3)), np.zeros(2), solve)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(1, 8))
@@ -114,7 +130,7 @@ class TestMahalanobis:
         eps = 10.0 ** rng.uniform(-6, -1)
         dev = rng.normal(size=dim)
         solve = _factor(cov, eps)
-        via_solve = mahalanobis(dev, np.zeros(dim), solve)
+        (via_solve,) = mahalanobis(dev[None], np.zeros(dim), solve)
         via_inverse = math.sqrt(dev @ np.linalg.inv(cov + eps * np.eye(dim)) @ dev)
         assert abs(via_solve - via_inverse) < 1e-9 * max(1.0, via_inverse)
 
@@ -132,7 +148,7 @@ class TestMahalanobis:
         spd = (a @ a.T, 10.0 ** rng.uniform(-6, -1))
         for cov, eps in ((group.covariance, group.shrink_eps), spd):
             dev = rng.normal(size=dim)
-            ours = mahalanobis(dev, np.zeros(dim), _factor(cov, eps))
+            (ours,) = mahalanobis(dev[None], np.zeros(dim), _factor(cov, eps))
             oracle = math.sqrt(dev @ cho_solve(cho_factor(cov + eps * np.eye(dim)), dev))
             assert abs(ours - oracle) < 1e-9 * max(1.0, oracle)
 
@@ -150,38 +166,37 @@ class TestScoreAgc:
         model = fit_simple([[1.0, 1.0], [3.0, 1.0]], [0, 0], [0, 0], shrinkage=1e-2)
         group = model.groups_by_section[0][0]
         probe = np.array([2.0, 4.0])
-        assert score_agc(probe, model, 0).score == pytest.approx(
-            mahalanobis(probe, group.centre, group.solve)
+        assert score_one(probe, model)[0] == pytest.approx(
+            mahalanobis(probe[None], group.centre, group.solve)[0]
         )
 
     def test_probe_at_centre_scores_zero(self):
         model = self.make_model()
-        record = score_agc(np.array([5.1, 5.0]), model, 0)
-        assert record.argmin_group == 1
-        assert record.score == pytest.approx(0.0, abs=1e-9)
+        score, argmin = score_one([5.1, 5.0], model)
+        assert argmin == 1
+        assert score == pytest.approx(0.0, abs=1e-9)
 
     def test_min_over_groups_matches_enumeration(self):
         model = self.make_model()
         rng = np.random.default_rng(3)
         for _ in range(50):
             probe = rng.normal(scale=4.0, size=2)
-            record = score_agc(probe, model, 0)
+            score, argmin = score_one(probe, model)
             distances = [
-                mahalanobis(probe, g.centre, g.solve) for g in model.groups_by_section[0]
+                mahalanobis(probe[None], g.centre, g.solve)[0] for g in model.groups_by_section[0]
             ]
-            assert record.score == min(distances)
-            assert record.argmin_group == int(np.argmin(distances))
-            assert all(record.score <= d for d in distances)
+            assert score == min(distances)
+            assert argmin == int(np.argmin(distances))
+            assert all(score <= d for d in distances)
 
     def test_tie_breaks_to_lowest_label(self):
         # two identical groups: equal distances, argmin must be label 0
         model = fit_simple([[1.0, 0.0], [1.0, 0.0]], [0, 1], [0, 0], shrinkage=1e-2)
-        record = score_agc(np.array([2.0, 2.0]), model, 0)
-        assert record.argmin_group == 0
+        assert score_one([2.0, 2.0], model)[1] == 0
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ScoringError, match="section"):
-            score_agc(np.zeros(2), self.make_model(), 9)
+        assert errors_of_one(np.zeros(2), self.make_model(), 9) == {
+            0: "section 9 not present in the agc model"}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", ["agc", "dc"])
@@ -189,19 +204,17 @@ class TestScoreAgc:
         labels = np.array(["source", "target"]) if kind == "dc" else np.array([0, 1])
         fit, score = (fit_dc, score_dc) if kind == "dc" else (fit_agc, score_agc)
         model = fit(np.eye(2), labels, np.zeros(2, int), shrinkage=1e-2)
-        with pytest.raises(ScoringError, match="non-finite embedding"):
-            score(np.array([0.0, bad]), model, 0)
+        assert errors_of_one([0.0, bad], model, score=score) == {0: "non-finite embedding"}
 
     def test_distance_overflow_rejected(self):
         # a finite probe far out over a tiny absolute shrinkage overflows y @ y
         model = fit_simple([[0.0, 0.0]], [0], [0], shrinkage=1e-300)
-        with pytest.raises(ScoringError, match="overflow"), np.errstate(over="ignore"):
-            score_agc(np.array([1e10, 0.0]), model, 0)
+        assert errors_of_one([1e10, 0.0], model) == {0: "Mahalanobis distance overflows"}
 
     def test_kind_mismatch_rejected(self):
         dc = fit_dc(np.zeros((2, 2)), np.array(["source", "target"]), np.zeros(2, int))
         with pytest.raises(ScoringError, match="attribute-group"):
-            score_agc(np.zeros(2), dc, 0)
+            score_agc(np.zeros((1, 2)), dc, np.zeros(1, int))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
@@ -213,16 +226,96 @@ class TestScoreAgc:
         moved = fit_simple(feats + shift, labels, sections)
         for _ in range(10):
             probe = rng.normal(size=3)
-            a = score_agc(probe, base, 0)
-            b = score_agc(probe + shift, moved, 0)
-            assert b.score == pytest.approx(a.score, rel=1e-9)
-            assert b.argmin_group == a.argmin_group
+            a_score, a_argmin = score_one(probe, base)
+            b_score, b_argmin = score_one(probe + shift, moved)
+            assert b_score == pytest.approx(a_score, rel=1e-9)
+            assert b_argmin == a_argmin
 
     def test_scores_scale_linearly_for_point_groups(self):
         # single-clip groups have zero covariance: distance is Euclidean / sqrt(eps)
         model = fit_simple([[0.0, 0.0]], [0], [0], shrinkage=1e-4)
-        base = score_agc(np.array([1.0, 0.0]), model, 0).score
-        assert score_agc(np.array([3.0, 0.0]), model, 0).score == pytest.approx(3 * base)
+        base, _ = score_one([1.0, 0.0], model)
+        assert score_one([3.0, 0.0], model)[0] == pytest.approx(3 * base)
+
+
+def scipy_distance(row, group):
+    """One row's distance to one group through scipy's Cholesky solve."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    dev = row - group.centre
+    shrunk = group.covariance + group.shrink_eps * np.eye(len(dev))
+    return math.sqrt(dev @ cho_solve(cho_factor(shrunk), dev))
+
+
+class TestBatchScoring:
+    LABELS = (3, 5, 6, 8, 9, 12)  # not contiguous: the argmin is a label, not an index
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_rows=st.integers(1, 60),
+           n_sections=st.integers(1, 3), n_groups=st.integers(1, 6), dim=st.integers(1, 6))
+    def test_each_row_matches_a_per_row_scipy_oracle(self, seed, n_rows, n_sections,
+                                                     n_groups, dim):
+        rng = np.random.default_rng(seed)
+        feats, labels, sections = [], [], []
+        for section in range(n_sections):
+            for k, label in enumerate(self.LABELS[:n_groups]):
+                if k != 1:  # the second group repeats the first's clips: every row ties
+                    members = rng.normal(size=(int(rng.integers(1, 5)), dim))
+                    members += 3.0 * rng.normal(size=dim)
+                feats.append(members)
+                labels += [label] * len(members)
+                sections += [section] * len(members)
+        model = fit_simple(np.concatenate(feats), labels, sections)
+        rows = 3.0 * rng.normal(size=(n_rows, dim))
+        row_sections = rng.integers(0, n_sections, n_rows)
+        for i in range(0, n_rows, 4):  # every fourth row sits exactly on a centre
+            groups = model.groups_by_section[int(row_sections[i])]
+            rows[i] = groups[int(rng.integers(len(groups)))].centre
+
+        scores, argmins, errors = score_agc(rows, model, row_sections)
+        assert errors == {}
+        for section, groups in model.groups_by_section.items():
+            in_section = np.flatnonzero(row_sections == section)
+            if not len(in_section):
+                continue
+            # the batch the scorer solved: every row of the section
+            distances = np.array([mahalanobis(rows[in_section], g.centre, g.solve)
+                                  for g in groups])
+            minima = distances.min(axis=0)
+            np.testing.assert_array_equal(scores[in_section], minima)
+            lowest = [min(g.label for g, d in zip(groups, column) if d == m)
+                      for column, m in zip(distances.T, minima)]
+            np.testing.assert_array_equal(argmins[in_section], lowest)
+            for i in in_section:
+                oracle = min(scipy_distance(rows[i], g) for g in groups)
+                assert abs(scores[i] - oracle) <= 1e-12 * oracle
+        if n_groups > 1:  # each row ties the first group with its copy: the copy never wins
+            assert self.LABELS[1] not in argmins
+
+    def test_bad_rows_error_alone_in_a_mixed_batch(self):
+        rng = np.random.default_rng(9)
+        spread = fit_simple(rng.normal(size=(9, 2)), [0, 0, 0, 1, 1, 1, 2, 2, 2], [0] * 9)
+        # section 1: one clip over a tiny absolute shrinkage, so a far row overflows
+        tiny = fit_simple([[0.0, 0.0]], [0], [1], shrinkage=1e-300)
+        model = CentreModel("agc", {**spread.groups_by_section, **tiny.groups_by_section})
+        feats = rng.normal(size=(10, 2))
+        sections = np.array([0, 0, 0, 7, 0, 1, 0, 1, 0, 0])
+        feats[1, 0], feats[4, 1], feats[5] = np.nan, np.inf, [1e10, 0.0]
+        scores, argmins, errors = score_agc(feats, model, sections)
+        assert errors == {1: "non-finite embedding", 3: "section 7 not present in the agc model",
+                          4: "non-finite embedding", 5: "Mahalanobis distance overflows"}
+        assert np.all(np.isnan(scores[list(errors)])) and np.all(argmins[list(errors)] == -1)
+        good = [i for i in range(10) if i not in errors]
+        alone, alone_argmins, alone_errors = score_agc(feats[good], model, sections[good])
+        assert alone_errors == {}
+        np.testing.assert_allclose(scores[good], alone, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(argmins[good], alone_argmins)
+        assert np.all(np.isfinite(scores[good]))
+
+    def test_sections_must_match_the_rows(self):
+        model = fit_simple([[0.0, 0.0]], [0], [0])
+        with pytest.raises(ScoringError, match="sections"):
+            score_agc(np.zeros((2, 2)), model, np.zeros(3, int))
 
 
 class TestScoreDc:
@@ -233,20 +326,18 @@ class TestScoreDc:
         dc = fit_dc(feats, np.array(["source"] * 8), sections, shrinkage=1e-3)
         agc = fit_simple(feats, np.zeros(8, int), sections, shrinkage=1e-3)
         probe = rng.normal(size=3)
-        assert score_dc(probe, dc, 0).score == pytest.approx(score_agc(probe, agc, 0).score)
+        assert score_one(probe, dc, score=score_dc)[0] == pytest.approx(score_one(probe, agc)[0])
 
     def test_nearer_domain_wins(self):
         feats = np.array([[0.0, 0.0], [0.4, 0.0], [6.0, 6.0], [6.4, 6.0]])
         domains = np.array(["source", "source", "target", "target"])
         dc = fit_dc(feats, domains, np.zeros(4, int), shrinkage=1e-2)
-        record = score_dc(np.array([6.1, 6.0]), dc, 0)
-        assert record.argmin_group == 1  # target index
+        assert score_one([6.1, 6.0], dc, score=score_dc)[1] == 1  # target index
 
     def test_identical_domains_tie_to_source(self):
         feats = np.array([[1.0, 1.0], [1.0, 1.0]])
         dc = fit_dc(feats, np.array(["source", "target"]), np.zeros(2, int), shrinkage=1e-2)
-        record = score_dc(np.array([0.0, 0.0]), dc, 0)
-        assert record.argmin_group == 0
+        assert score_one([0.0, 0.0], dc, score=score_dc)[1] == 0
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ScoringError, match="domain"):
@@ -264,10 +355,10 @@ class TestTensorRoundTrip:
         restored = centre_model_from_tensors(tensors, "agc", "agc")
         probe = rng.normal(size=4)
         for section in (0, 1):
-            a = score_agc(probe, model, section)
-            b = score_agc(probe, restored, section)
-            assert b.score == pytest.approx(a.score, rel=1e-12)
-            assert b.argmin_group == a.argmin_group
+            a_score, a_argmin = score_one(probe, model, section)
+            b_score, b_argmin = score_one(probe, restored, section)
+            assert b_score == pytest.approx(a_score, rel=1e-12)
+            assert b_argmin == a_argmin
 
     @pytest.mark.parametrize("fault", [
         "missing_stats", "misfit_cov", "not_positive_definite", "non_finite_centre",
