@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import struct
-import types
 import typing
 from pathlib import Path
 
@@ -72,13 +71,6 @@ def from_dict(cls, data):
         _expect(data, dict, f"an object for {cls}")
         key_type, value_type = args
         return {from_dict(key_type, k): from_dict(value_type, v) for k, v in data.items()}
-    if origin in (typing.Union, types.UnionType):
-        for arg in args:
-            try:
-                return from_dict(arg, data)
-            except TypeError:
-                pass
-        raise TypeError(f"expected {cls}, got {type(data).__name__}")
     if isinstance(data, bool) and cls is not bool:
         raise TypeError(f"expected {cls.__name__}, got bool")
     _expect(data, (int, float) if cls is float else cls, cls.__name__)

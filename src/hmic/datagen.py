@@ -4,10 +4,11 @@ Each attribute value maps to an explicit set of sinusoids, so clips in the
 same attribute group share a spectral signature (chord intervals and tone
 counts differ between groups to stay distinguishable after pooling). Sections
 get distinct amplitude-modulation rates, domains differ by noise floor (and,
-in the shifted preset, by one attribute's value set), and anomalies are
-detuned tones plus broadband transient clicks. Per-clip RNG streams are
-derived from (seed, clip_id), so generation is deterministic regardless of
-order or parallelism.
+in the shifted preset, by one attribute's value set), and an anomaly is every
+tone detuned plus broadband transient clicks. Clips are rendered at the front
+end's ``dsp.SAMPLE_RATE_HZ`` with a fixed tone amplitude and AM depth.
+Per-clip RNG streams are derived from (seed, clip_id), so generation is
+deterministic regardless of order or parallelism.
 """
 
 from __future__ import annotations
@@ -15,15 +16,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import from_dict, to_dict
-from .dsp import write_wav_mono
+from .dsp import SAMPLE_RATE_HZ, write_wav_mono
 from .errors import HmicError
-from .metadata import ClipMeta, ManifestEntry, write_manifest
+from .metadata import ClipMeta, ManifestEntry, ManifestError, format_attributes, write_manifest
+
+TONE_AMP = 0.07  # nominal amplitude of each tone, before its per-clip 0.85-1.15 gain
+AM_DEPTH = 0.5  # depth of the section's slow amplitude modulation
+_BURST_LEN = int(0.004 * SAMPLE_RATE_HZ)  # samples in one 4 ms anomaly click
 
 
 class SynthSpecError(HmicError, ValueError):
@@ -75,78 +81,111 @@ class MachineSpec:
 
 @dataclass(frozen=True)
 class AnomalySpec:
+    """An anomalous clip detunes every tone and adds clicks."""
+
     detune_cents: float = 250.0
     clicks_per_second: float = 5.0
     click_amp: float = 0.35
-    # None detunes every tone; an attribute name detunes only that attribute's
-    # tones (an off-spec operating point between nominal values).
-    detune_attr: str | None = None
-    # Ghost mode: the anomalous machine additionally excites a sibling value's
-    # tone set for this attribute (two operating points sounding at once).
-    ghost_attr: str | None = None
-    ghost_amp: float = 0.0  # relative to tone_amp
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     machines: tuple[MachineSpec, ...]
-    sample_rate_hz: int = 16000
     clip_seconds: float = 2.0
-    tone_amp: float = 0.07
-    am_depth: float = 0.5
     tone_jitter_cents: float = 0.0  # per-clip natural detune on every clip
     noise_amp_source: float = 0.004
     noise_amp_target: float = 0.010
     anomaly: AnomalySpec = field(default_factory=AnomalySpec)
     seed: int = 2022
 
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.clip_seconds * SAMPLE_RATE_HZ))
+
     def validate(self) -> None:
-        nyquist = self.sample_rate_hz / 2.0
+        """Raise SynthSpecError on a spec that cannot render, or whose corpus a
+        later stage would refuse."""
+        for path, value in _leaves(to_dict(self)):
+            # "not <=" holds for NaN too; an int past the float range would
+            # overflow where it meets a float
+            if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+                raise SynthSpecError(f"{path} must be finite and within the float range")
+        if self.seed < 0:
+            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
+        if self.n_samples <= _BURST_LEN:
+            raise SynthSpecError(f"clip_seconds must exceed one 4 ms click, got {self.clip_seconds}")
+        if self.anomaly.clicks_per_second > SAMPLE_RATE_HZ:
+            raise SynthSpecError(f"anomaly.clicks_per_second must be <= {SAMPLE_RATE_HZ}, "
+                                 f"got {self.anomaly.clicks_per_second}")
         if not self.machines:
             raise SynthSpecError("spec has no machine types")
+        _distinct("machine names", [machine.name for machine in self.machines])
         for machine in self.machines:
+            if machine.name in ("", "..") or "/" in machine.name:
+                raise SynthSpecError(f"machine name {machine.name!r} is no directory in the corpus")
+            if not machine.sections:
+                raise SynthSpecError(f"{machine.name} has no sections")
+            _distinct(f"{machine.name} section ids", [s.section_id for s in machine.sections])
             for section in machine.sections:
-                counts = section.counts
-                for name, value in vars(counts).items():
+                where = f"{machine.name}/section {section.section_id}"
+                if section.section_id < 0:
+                    raise SynthSpecError(f"{where}: section id must be >= 0")
+                for name, value in vars(section.counts).items():
                     if value <= 0:
-                        raise SynthSpecError(
-                            f"{machine.name}/section {section.section_id}: {name} must be > 0"
-                        )
+                        raise SynthSpecError(f"{where}: {name} must be > 0")
                 if not section.attributes:
-                    raise SynthSpecError(
-                        f"{machine.name}/section {section.section_id} has no attributes"
-                    )
+                    raise SynthSpecError(f"{where} has no attributes")
+                _distinct(f"{where} attribute names", [attr.name for attr in section.attributes])
                 for attr in section.attributes:
-                    for value in set(attr.source_values) | set(attr.target_values):
+                    if not attr.source_values:
+                        raise SynthSpecError(f"{where}: {attr.name} has no source values")
+                    values = attr.source_values + attr.target_values
+                    for token in (attr.name, *values):
+                        if "/" in token:  # the token is part of the clip's file name
+                            raise SynthSpecError(f"{where}: attribute token {token!r} holds a '/'")
+                    try:  # the manifest's attribute column cannot hold its separators
+                        format_attributes(tuple((attr.name, value) for value in values))
+                    except ManifestError as exc:
+                        raise SynthSpecError(f"{where}: {exc}") from None
+                    for value in set(values):
                         tones = attr.tones_hz.get(value)
                         if not tones:
-                            raise SynthSpecError(
-                                f"no tones for {attr.name}={value} in section {section.section_id}"
-                            )
-                        worst_cents = self.anomaly.detune_cents + (
-                            self.tone_jitter_cents * attr.jitter_scale(value)
-                        )
-                        detune = 2.0 ** (worst_cents / 1200.0)
-                        if max(tones) * detune >= nyquist:
-                            raise SynthSpecError(
-                                f"tone {max(tones)} Hz (detuned) exceeds Nyquist {nyquist} Hz"
-                            )
+                            raise SynthSpecError(f"{where}: no tones for {attr.name}={value}")
+                        # a tone moves up by at most its jitter bound and, in an
+                        # anomaly, the detune; neither moves it up when negative.
+                        # 2 ** -x underflows to 0 where 2 ** x would overflow.
+                        cents = max(self.anomaly.detune_cents, 0.0)
+                        cents += max(self.tone_jitter_cents, 0.0) * abs(attr.jitter_scale(value))
+                        top = max(abs(freq) for freq in tones)
+                        if top >= SAMPLE_RATE_HZ / 2.0 * 2.0 ** (-cents / 1200.0):
+                            raise SynthSpecError(f"{where}: tone {top} Hz (detuned) "
+                                                 f"exceeds Nyquist {SAMPLE_RATE_HZ / 2.0} Hz")
+
+
+def _leaves(node, path=""):
+    """(dotted path, value) of each leaf of a ``to_dict`` tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, (list, tuple)):
+        items = enumerate(node)
+    else:
+        yield path, node
+        return
+    for key, child in items:
+        yield from _leaves(child, f"{path}.{key}" if path else str(key))
+
+
+def _distinct(what: str, items: list) -> None:
+    if len(set(items)) != len(items):
+        raise SynthSpecError(f"{what} must be distinct, got {items}")
 
 
 @dataclass(frozen=True)
 class ClipPlan:
-    meta: ClipMeta
-    filename: str  # relative to the corpus root
-    machine: MachineSpec
-    section: SectionSpec
-    tones_by_attr: tuple[tuple[str, tuple[float, ...]], ...]
-    anomalous: bool
-    ghost_tones_hz: tuple[float, ...] = ()
-    jitter_scale_per_tone: tuple[float, ...] = ()
-
-    @property
-    def tone_freqs_hz(self) -> tuple[float, ...]:
-        return tuple(f for _, tones in self.tones_by_attr for f in tones)
+    meta: ClipMeta  # the clip is written to "<clip_id>.wav" under the corpus root
+    tone_freqs_hz: tuple[float, ...]
+    jitter_scales: tuple[float, ...]  # per tone: its attribute value's jitter scale
+    am_rate_hz: float
 
 
 def _combos(section: SectionSpec, domain: str) -> list[tuple[tuple[str, str], ...]]:
@@ -157,33 +196,14 @@ def _combos(section: SectionSpec, domain: str) -> list[tuple[tuple[str, str], ..
     return [tuple(combo) for combo in itertools.product(*per_attr)]
 
 
-def _tones_for(section: SectionSpec, pairs) -> tuple[tuple[str, tuple[float, ...]], ...]:
+def _tones(section: SectionSpec, pairs) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The clip's tones, attribute by attribute, and each tone's jitter scale."""
     by_name = {attr.name: attr for attr in section.attributes}
-    return tuple((name, tuple(by_name[name].tones_hz[value])) for name, value in pairs)
-
-
-def _jitter_scales(section: SectionSpec, pairs) -> tuple[float, ...]:
-    by_name = {attr.name: attr for attr in section.attributes}
-    return tuple(
-        by_name[name].jitter_scale(value)
+    return tuple(zip(*[
+        (freq, by_name[name].jitter_scale(value))
         for name, value in pairs
-        for _ in by_name[name].tones_hz[value]
-    )
-
-
-def _ghost_tones(section: SectionSpec, pairs, anomaly: AnomalySpec, idx: int):
-    """Tone set of a sibling value of the ghost attribute, cycled per clip."""
-    if anomaly.ghost_attr is None or anomaly.ghost_amp <= 0.0:
-        return ()
-    by_name = {attr.name: attr for attr in section.attributes}
-    attr = by_name.get(anomaly.ghost_attr)
-    if attr is None:
-        return ()
-    value = dict(pairs)[anomaly.ghost_attr]
-    pool = [v for v in attr.source_values if v != value]
-    if not pool:
-        return ()
-    return tuple(attr.tones_hz[pool[idx % len(pool)]])
+        for freq in by_name[name].tones_hz[value]
+    ]))
 
 
 def plan_corpus(spec: SynthSpec) -> list[ClipPlan]:
@@ -221,23 +241,8 @@ def plan_corpus(spec: SynthSpec) -> list[ClipPlan]:
                         condition=condition,
                         attributes=sorted_pairs,
                     )
-                    anomalous = condition == "anomalous"
-                    plans.append(
-                        ClipPlan(
-                            meta=meta,
-                            filename=f"{machine.name}/{stem}.wav",
-                            machine=machine,
-                            section=section,
-                            tones_by_attr=_tones_for(section, pairs),
-                            anomalous=anomalous,
-                            ghost_tones_hz=(
-                                _ghost_tones(section, pairs, spec.anomaly, idx)
-                                if anomalous
-                                else ()
-                            ),
-                            jitter_scale_per_tone=_jitter_scales(section, pairs),
-                        )
-                    )
+                    tones, scales = _tones(section, pairs)
+                    plans.append(ClipPlan(meta, tones, scales, section.am_rate_hz))
     return plans
 
 
@@ -251,31 +256,18 @@ def _clip_rng(seed: int, clip_id: str) -> np.random.Generator:
 def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
     """Render one clip: tone stack + section AM + domain noise (+ anomaly transform)."""
     rng = _clip_rng(spec.seed, plan.meta.clip_id)
-    n = int(round(spec.clip_seconds * spec.sample_rate_hz))
-    t = np.arange(n) / spec.sample_rate_hz
-    n_main = len(plan.tone_freqs_hz)
-    freqs = np.array(plan.tone_freqs_hz + plan.ghost_tones_hz, dtype=np.float64)
+    anomalous = plan.meta.condition == "anomalous"
+    n = spec.n_samples
+    t = np.arange(n) / SAMPLE_RATE_HZ
+    freqs = np.array(plan.tone_freqs_hz, dtype=np.float64)
     if spec.tone_jitter_cents > 0.0:
-        scales = np.ones(freqs.size)
-        if plan.jitter_scale_per_tone:
-            scales[:n_main] = plan.jitter_scale_per_tone
-        bounds = spec.tone_jitter_cents * scales
+        bounds = spec.tone_jitter_cents * np.array(plan.jitter_scales)
         jitter = rng.uniform(-1.0, 1.0, freqs.size) * bounds
         freqs = freqs * 2.0 ** (jitter / 1200.0)
-    if plan.anomalous:
-        target_attr = spec.anomaly.detune_attr
-        detunable = np.array(
-            [
-                target_attr is None or name == target_attr
-                for name, tones in plan.tones_by_attr
-                for _ in tones
-            ]
-            + [False] * len(plan.ghost_tones_hz)
-        )
-        freqs = np.where(detunable, freqs * 2.0 ** (spec.anomaly.detune_cents / 1200.0), freqs)
+    if anomalous:
+        freqs = freqs * 2.0 ** (spec.anomaly.detune_cents / 1200.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, freqs.size)
-    gains = spec.tone_amp * rng.uniform(0.85, 1.15, freqs.size)
-    gains[n_main:] *= spec.anomaly.ghost_amp
+    gains = TONE_AMP * rng.uniform(0.85, 1.15, freqs.size)
     # One scratch array holds each tone, the AM term and the noise in turn; the
     # in-place steps run in the order of the plain expressions, bit for bit.
     signal = np.zeros(n)
@@ -287,45 +279,44 @@ def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
         scratch *= gain
         signal += scratch
     am_phase = rng.uniform(0.0, 2.0 * np.pi)
-    np.multiply(2.0 * np.pi * plan.section.am_rate_hz, t, out=scratch)
+    np.multiply(2.0 * np.pi * plan.am_rate_hz, t, out=scratch)
     scratch += am_phase
     np.sin(scratch, out=scratch)
-    scratch *= spec.am_depth
+    scratch *= AM_DEPTH
     scratch += 1.0
-    scratch /= 1.0 + spec.am_depth
+    scratch /= 1.0 + AM_DEPTH
     signal *= scratch
     noise_amp = spec.noise_amp_source if plan.meta.domain == "source" else spec.noise_amp_target
     rng.standard_normal(n, out=scratch)
     scratch *= noise_amp
     signal += scratch
-    if plan.anomalous:
+    if anomalous:
         n_clicks = max(1, int(round(spec.anomaly.clicks_per_second * spec.clip_seconds)))
-        burst_len = int(0.004 * spec.sample_rate_hz)
-        envelope = np.exp(-np.arange(burst_len) / (0.0015 * spec.sample_rate_hz))
-        for start in rng.integers(0, n - burst_len, n_clicks):
-            noise_burst = rng.standard_normal(burst_len)
+        envelope = np.exp(-np.arange(_BURST_LEN) / (0.0015 * SAMPLE_RATE_HZ))
+        for start in rng.integers(0, n - _BURST_LEN, n_clicks):
+            noise_burst = rng.standard_normal(_BURST_LEN)
             noise_burst /= np.max(np.abs(noise_burst))
-            signal[start : start + burst_len] += spec.anomaly.click_amp * envelope * noise_burst
+            signal[start : start + _BURST_LEN] += spec.anomaly.click_amp * envelope * noise_burst
     peak = np.max(np.abs(signal))
     if peak > 0.99:
         raise SynthSpecError(
             f"{plan.meta.clip_id}: rendered peak {peak:.3f} too close to full scale; "
-            f"lower tone_amp/click_amp"
+            f"lower click_amp or the noise amplitudes, or use fewer tones"
         )
     return signal
 
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
     """Write the corpus (WAVs + manifest.csv + the spec echo); returns the manifest path."""
+    plans = plan_corpus(spec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    plans = plan_corpus(spec)
     entries = []
     for plan in plans:
-        wav_path = out_dir / plan.filename
-        wav_path.parent.mkdir(parents=True, exist_ok=True)
-        write_wav_mono(wav_path, synthesize_clip(spec, plan), spec.sample_rate_hz)
-        entries.append(ManifestEntry(meta=plan.meta, path=plan.filename))
+        filename = f"{plan.meta.clip_id}.wav"
+        (out_dir / filename).parent.mkdir(parents=True, exist_ok=True)
+        write_wav_mono(out_dir / filename, synthesize_clip(spec, plan), SAMPLE_RATE_HZ)
+        entries.append(ManifestEntry(meta=plan.meta, path=filename))
     manifest_path = out_dir / "manifest.csv"
     write_manifest(entries, manifest_path)
     (out_dir / "synth_spec.json").write_text(spec_to_json(spec), encoding="utf-8")
@@ -335,31 +326,16 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
 # --- presets -----------------------------------------------------------------
 
 
-def _section(section_id, am_rate, spd_tones, mic_tones, counts=ClipCounts()):
-    return SectionSpec(
-        section_id=section_id,
-        attributes=(
-            AttributeSpec(
-                name="spd",
-                source_values=tuple(spd_tones),
-                target_values=(),
-                tones_hz=dict(spd_tones),
-            ),
-            AttributeSpec(
-                name="mic",
-                source_values=tuple(mic_tones),
-                target_values=(),
-                tones_hz=dict(mic_tones),
-            ),
-        ),
-        am_rate_hz=am_rate,
-        counts=counts,
+def _section(section_id, am_rate, spd_tones, mic_tones):
+    attributes = tuple(
+        AttributeSpec(name, tuple(tones), (), dict(tones))
+        for name, tones in (("spd", spd_tones), ("mic", mic_tones))
     )
+    return SectionSpec(section_id, attributes, am_rate)
 
 
 # Per-section tone tables. The two spd values sit a uniform ~700 cents apart
-# (tone for tone), so per-attribute detune experiments can place anomalies at a
-# controlled fraction of the gap between nominal operating points.
+# (tone for tone).
 _SPD_TONES = {
     0: {"lo": (500.0, 640.0), "hi": (750.0, 960.0)},
     1: {"lo": (850.0, 900.0), "hi": (1275.0, 1350.0)},
@@ -451,20 +427,12 @@ PRESETS = {"default": default_spec, "shifted": shifted_spec}
 # --- spec (de)serialization ---------------------------------------------------
 
 
-def spec_to_dict(spec: SynthSpec) -> dict:
-    return to_dict(spec)
-
-
-def spec_from_dict(data: dict) -> SynthSpec:
-    return from_dict(SynthSpec, data)
-
-
 def spec_to_json(spec: SynthSpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
+    return json.dumps(to_dict(spec), indent=2, sort_keys=True)
 
 
 def load_spec(path: str | Path) -> SynthSpec:
     try:
-        return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return from_dict(SynthSpec, json.loads(Path(path).read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SynthSpecError(f"bad synth spec {path}: {exc}") from exc

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +17,7 @@ from hmic.checkpoint import (
     to_dict,
 )
 from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, save_run_config
-from hmic.datagen import AnomalySpec, AttributeSpec
+from hmic.datagen import AttributeSpec, SynthSpec
 from hmic.model import ModelConfig
 from hmic.training import TrainConfig
 
@@ -175,16 +177,13 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         ("cls", "fields"),
         [
-            (AnomalySpec, {"detune_attr": 3}),
             (AttributeSpec, {"jitter_scale_by_value": {"A": "0.3"}}),
             (AttributeSpec, {"tones_hz": {"A": [600.0, "900"]}}),
         ],
     )
     def test_wrong_type_inside_a_dict_or_optional_field_rejected(self, cls, fields):
-        """A dict value or an ``X | None`` field of a spec JSON must match its hint too."""
-        base = {}
-        if cls is AttributeSpec:
-            base = to_dict(make_tiny_spec().machines[0].sections[0].attributes[0])
+        """A dict value of a spec JSON must match its hint too."""
+        base = to_dict(make_tiny_spec().machines[0].sections[0].attributes[0])
         from_dict(cls, base)  # the rest of the object is valid
         with pytest.raises(TypeError, match="expected"):
             from_dict(cls, {**base, **fields})
@@ -192,7 +191,6 @@ class TestRunConfig:
     def test_int_for_float_field_is_kept_unchanged(self):
         config = from_dict(RunConfig, {"train": {"learning_rate": 1}, "pauc_p": 1})
         assert type(config.train.learning_rate) is int and config.pauc_p == 1
-        assert from_dict(AnomalySpec, {"detune_attr": None}).detune_attr is None
 
     def test_wrong_leaf_type_in_file_is_config_error(self, tmp_path):
         path = tmp_path / "typed.json"
@@ -211,3 +209,41 @@ class TestRunConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+
+DECODABLE_LEAVES = {int, float, str, bool}
+
+
+def _leaf_hints(hint, seen=None):
+    """Every hint reachable from ``hint`` that is not a dataclass, a
+    ``tuple[...]`` or a ``dict[...]``."""
+    seen = set() if seen is None else seen
+    if dataclasses.is_dataclass(hint):
+        if hint not in seen:
+            seen.add(hint)
+            for field_hint in typing.get_type_hints(hint).values():
+                yield from _leaf_hints(field_hint, seen)
+    elif typing.get_origin(hint) in (tuple, dict):
+        for arg in typing.get_args(hint):
+            if arg is not Ellipsis:
+                yield from _leaf_hints(arg, seen)
+    else:
+        yield hint
+
+
+class TestDecodableHints:
+    """``from_dict`` decodes dataclasses, ``tuple[...]``, ``dict[...]`` and the
+    four JSON leaf types; a config or spec field of any other kind would reach
+    ``hmic generate`` or ``hmic train`` as a traceback, not a one-line error."""
+
+    @pytest.mark.parametrize("root", [RunConfig, SynthSpec])
+    def test_every_reachable_hint_is_decodable(self, root):
+        assert set(_leaf_hints(root)) - DECODABLE_LEAVES == set()
+
+    def test_an_optional_field_is_flagged(self):
+        @dataclass(frozen=True)
+        class Loose:
+            name: str | None = None
+            pairs: tuple[tuple[str, int | None], ...] = ()
+
+        assert set(_leaf_hints(Loose)) - DECODABLE_LEAVES == {str | None, int | None}

@@ -13,7 +13,7 @@ from hmic import dsp, model, pipeline, scoring
 from hmic.checkpoint import load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
 from hmic.config import ConfigError, load_run_config
-from hmic.datagen import generate
+from hmic.datagen import generate, load_spec, spec_to_json
 from hmic.metadata import ManifestError, read_manifest, write_manifest
 from hmic.pipeline import PipelineError, extract_features, read_scores_csv, run_train
 
@@ -57,38 +57,108 @@ def log_mel_calls(monkeypatch):
     return calls
 
 
+def _first_section(data, index=0):
+    return data["machines"][0]["sections"][index]
+
+
+def _first_attribute(data):
+    return _first_section(data)["attributes"][0]
+
+
+NAN = float("nan")
+# fault -> how it breaks the JSON of make_tiny_spec (one machine, sections 0
+# and 1, one attribute "spd" with values A and B)
+BAD_SPECS = {
+    "missing_key": lambda d: d.pop("machines"),
+    "unknown_nested_key": lambda d: d["anomaly"].update(detune_cent=10.0),
+    "wrong_leaf_type": lambda d: d.update(clip_seconds="0.5"),
+    "zero_clip_seconds": lambda d: d.update(clip_seconds=0),
+    "negative_clip_seconds": lambda d: d.update(clip_seconds=-1),
+    "nan_clip_seconds": lambda d: d.update(clip_seconds=NAN),
+    "clip_no_longer_than_a_click": lambda d: d.update(clip_seconds=0.002),
+    "negative_section_id": lambda d: _first_section(d).update(section_id=-1),
+    "duplicate_attribute_name": lambda d: _first_section(d)["attributes"].append(
+        _first_attribute(d)),
+    "duplicate_machine_name": lambda d: d["machines"].append(d["machines"][0]),
+    "duplicate_section_id": lambda d: _first_section(d, 1).update(section_id=0),
+    "machine_without_sections": lambda d: d["machines"].append(
+        {"name": "idle", "sections": []}),
+    "slash_in_machine_name": lambda d: d["machines"][0].update(name="giz/mo"),
+    "parent_dir_machine_name": lambda d: d["machines"][0].update(name=".."),
+    "nan_tone": lambda d: _first_attribute(d)["tones_hz"].update(A=[NAN]),
+    "nan_tone_jitter": lambda d: d.update(tone_jitter_cents=NAN),
+    "int_tone_past_float_range": lambda d: _first_attribute(d)["tones_hz"].update(A=[10**400]),
+    "negative_seed": lambda d: d.update(seed=-1),
+    "huge_detune": lambda d: d["anomaly"].update(detune_cents=1e300),
+    "huge_click_rate": lambda d: d["anomaly"].update(clicks_per_second=1e300),
+    # a jitter of up to 10 x 600 cents, five octaves, can lift the 600 Hz tone
+    # far above Nyquist
+    "negative_jitter_scale": lambda d: _first_attribute(d).update(
+        jitter_scale_by_value={"A": -600.0}),
+    "no_source_values": lambda d: _first_attribute(d).update(source_values=[]),
+    "slash_in_attribute_value": lambda d: _first_attribute(d).update(
+        source_values=["A", "x/y"], tones_hz={"A": [600.0], "x/y": [700.0]}),
+    "separator_in_attribute_value": lambda d: _first_attribute(d).update(
+        source_values=["A", "x=y"], tones_hz={"A": [600.0], "x=y": [700.0]}),
+}
+
+
 class TestGenerate:
     def test_writes_corpus_and_manifest(self, tmp_path):
         out = tmp_path / "corpus"
         spec_path = tmp_path / "spec.json"
-        from hmic.datagen import spec_to_json
-
-        spec_path.write_text(spec_to_json(make_tiny_spec(seed=3)))
+        spec = make_tiny_spec(seed=3)
+        spec_path.write_text(spec_to_json(spec))
         assert run_cli("generate", "--out", out, "--spec", spec_path) == 0
         entries = read_manifest(out / "manifest.csv")
         assert entries
         assert (out / entries[0].path).exists()
-        assert (out / "synth_spec.json").exists()
+        assert load_spec(out / "synth_spec.json") == spec
+        # the echo regenerates the same corpus, byte for byte
+        again = tmp_path / "again"
+        assert run_cli("generate", "--out", again, "--spec", out / "synth_spec.json") == 0
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(again)) for p in again.rglob("*") if p.is_file())
+        assert all((out / f).read_bytes() == (again / f).read_bytes() for f in files)
 
-    @pytest.mark.parametrize(
-        "fault", ["missing_key", "unknown_nested_key", "wrong_leaf_type", "missing_file"]
-    )
+    @pytest.mark.parametrize("fault", [*BAD_SPECS, "missing_file"])
     def test_bad_spec_is_one_line_error(self, tmp_path, capsys, fault):
-        from hmic.datagen import spec_to_json
-
         spec_path = tmp_path / "spec.json"
         data = json.loads(spec_to_json(make_tiny_spec()))
-        if fault == "missing_key":
-            del data["machines"]
-        elif fault == "unknown_nested_key":
-            data["anomaly"]["detune_cent"] = 10.0
-        elif fault == "wrong_leaf_type":
-            data["sample_rate_hz"] = "16000"
         if fault != "missing_file":
+            BAD_SPECS[fault](data)
             spec_path.write_text(json.dumps(data))
         assert run_cli("generate", "--out", tmp_path / "corpus", "--spec", spec_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("dotted_key, value", [
+        ("sample_rate_hz", 16000),
+        ("tone_amp", 0.07),
+        ("am_depth", 0.5),
+        ("anomaly.detune_attr", None),
+        ("anomaly.ghost_attr", None),
+        ("anomaly.ghost_amp", 0.0),
+    ])
+    def test_a_removed_spec_key_is_refused_by_name(self, tmp_path, capsys, dotted_key, value):
+        # the corpus always renders at the front end's rate with fixed tone
+        # amplitude and AM depth, and an anomaly detunes every tone: an echo
+        # written before those settings went names the key to delete
+        data = json.loads(spec_to_json(make_tiny_spec()))
+        *parents, key = dotted_key.split(".")
+        node = data
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        spec_path = tmp_path / "old_spec.json"
+        spec_path.write_text(json.dumps(data))
+        assert run_cli("generate", "--out", tmp_path / "corpus", "--spec", spec_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+        del node[key]
+        spec_path.write_text(json.dumps(data))
+        assert load_spec(spec_path) == make_tiny_spec()
 
     def test_preset_generate(self, tmp_path):
         # presets are full-size; just check the spec echo parses and has 3 sections
@@ -910,8 +980,6 @@ class TestPipelineCommand:
     def test_end_to_end_tiny(self, tmp_path, tiny_config_path):
         workdir = tmp_path / "run"
         spec_path = tmp_path / "spec.json"
-        from hmic.datagen import spec_to_json
-
         spec_path.write_text(spec_to_json(make_tiny_spec(seed=5)))
         code = run_cli(
             "pipeline", "--workdir", workdir, "--spec", spec_path,

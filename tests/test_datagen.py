@@ -21,12 +21,19 @@ from hmic.datagen import (
     load_spec,
     plan_corpus,
     shifted_spec,
-    spec_from_dict,
-    spec_to_dict,
     spec_to_json,
     synthesize_clip,
 )
-from hmic.dsp import F_MAX_HZ, F_MIN_HZ, N_MELS, Waveform, log_mel, mel_centres_hz, read_wav_mono
+from hmic.dsp import (
+    F_MAX_HZ,
+    F_MIN_HZ,
+    N_MELS,
+    SAMPLE_RATE_HZ,
+    Waveform,
+    log_mel,
+    mel_centres_hz,
+    read_wav_mono,
+)
 from hmic.metadata import build_label_space, parse_dcase_filename, read_manifest
 
 TINY_COUNTS = ClipCounts(
@@ -128,14 +135,19 @@ class TestPlanCorpus:
         with pytest.raises(SynthSpecError, match="Nyquist"):
             plan_corpus(broken)
 
+    def test_empty_machine_name_is_refused(self):
+        # a clip's path in the corpus is "<machine name>/<stem>.wav"; with an
+        # empty name it is "/<stem>.wav", which pathlib joins to the corpus
+        # directory as an absolute path under the filesystem root
+        spec = tiny_spec()
+        broken = replace(spec, machines=(replace(spec.machines[0], name=""),))
+        with pytest.raises(SynthSpecError, match="no directory in the corpus"):
+            plan_corpus(broken)
 
-def _ghost_spec(seed):
-    return replace(default_spec(seed), anomaly=AnomalySpec(ghost_attr="spd", ghost_amp=0.5))
 
-
-_PRESETS = {"default": default_spec, "shifted": shifted_spec, "ghost": _ghost_spec}
+_PRESETS = {"default": default_spec, "shifted": shifted_spec}
 # sha256 of the float64 samples of the first test clip per (domain, anomalous)
-# of each preset at seed 2022; "ghost" is the default preset with ghost tones.
+# of each preset at seed 2022.
 RENDER_PINS = [
     ("default", "section_00_source_test_normal_0000_mic_m1_spd_lo",
      "e1cb720470fea965a1ddf75f9051ae7522e0bc65240201ed4de9f089029a61e2"),
@@ -153,10 +165,6 @@ RENDER_PINS = [
      "5b43011eec03e0cd014c17ddaaa57f22ded051d5acdacf9b87c96a27180b3e8c"),
     ("shifted", "section_00_target_test_anomaly_0000_mic_m1_spd_xt",
      "08dd7f647d46319726673caf33d98db3189413e6087cf4005558ed1e760bba89"),
-    ("ghost", "section_00_source_test_anomaly_0000_mic_m1_spd_lo",
-     "8d6fc2c11b5c14c2af973bde4f013681a316881316a6bff12f0246e461b0cb48"),
-    ("ghost", "section_00_target_test_anomaly_0000_mic_m1_spd_lo",
-     "856412e1e64daf01265baf8007d587b43cc2c2b18f7346a39d5a156a8df36bdf"),
 ]
 
 
@@ -177,8 +185,8 @@ class TestSynthesize:
     def test_anomalous_clips_differ_from_normal_twin(self):
         spec = tiny_spec()
         plans = plan_corpus(spec)
-        normal = next(p for p in plans if not p.anomalous)
-        anomalous = next(p for p in plans if p.anomalous)
+        normal = next(p for p in plans if p.meta.condition == "normal")
+        anomalous = next(p for p in plans if p.meta.condition == "anomalous")
         assert not np.array_equal(synthesize_clip(spec, normal), synthesize_clip(spec, anomalous))
 
     def test_tone_lands_on_expected_mel_bin(self):
@@ -187,49 +195,15 @@ class TestSynthesize:
         plan = next(
             p
             for p in plan_corpus(spec)
-            if not p.anomalous and p.meta.attribute_map["spd"] == "A"
+            if p.meta.condition == "normal" and p.meta.attribute_map["spd"] == "A"
         )
         samples = synthesize_clip(spec, plan)
-        wave = Waveform(samples=samples, sample_rate_hz=spec.sample_rate_hz)
+        wave = Waveform(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)
         values = log_mel(wave)
         centres = mel_centres_hz(N_MELS, F_MIN_HZ, F_MAX_HZ)
         expected_bin = int(np.argmin(np.abs(centres - plan.tone_freqs_hz[0])))
         peak_bins = values.argmax(axis=0)
         assert np.all(np.abs(peak_bins - expected_bin) <= 1)
-
-
-class TestGhostTones:
-    def test_ghost_mode_adds_sibling_tones_to_anomalies_only(self):
-        spec = replace(
-            tiny_spec(),
-            anomaly=AnomalySpec(detune_cents=0.0, clicks_per_second=0.0, click_amp=0.0,
-                                ghost_attr="spd", ghost_amp=0.5),
-        )
-        plans = plan_corpus(spec)
-        for plan in plans:
-            if plan.anomalous:
-                own = plan.meta.attribute_map["spd"]
-                sibling = {"A": "B", "B": "A"}[own]
-                attr = plan.section.attributes[0]
-                assert plan.ghost_tones_hz == attr.tones_hz[sibling]
-            else:
-                assert plan.ghost_tones_hz == ()
-
-    def test_ghost_changes_rendered_audio(self):
-        quiet = replace(
-            tiny_spec(),
-            anomaly=AnomalySpec(detune_cents=0.0, clicks_per_second=0.0, click_amp=0.0),
-        )
-        ghosted = replace(
-            quiet,
-            anomaly=replace(quiet.anomaly, ghost_attr="spd", ghost_amp=0.5),
-        )
-        plan_quiet = next(p for p in plan_corpus(quiet) if p.anomalous)
-        plan_ghost = next(p for p in plan_corpus(ghosted) if p.anomalous)
-        assert plan_quiet.meta.clip_id == plan_ghost.meta.clip_id
-        assert not np.array_equal(
-            synthesize_clip(quiet, plan_quiet), synthesize_clip(ghosted, plan_ghost)
-        )
 
 
 class TestGenerate:
@@ -262,8 +236,8 @@ class TestGenerate:
         manifest = generate(spec, tmp_path / "corpus")
         entry = read_manifest(manifest)[0]
         wave = read_wav_mono(tmp_path / "corpus" / entry.path)
-        assert wave.sample_rate_hz == spec.sample_rate_hz
-        assert wave.samples.size == int(spec.clip_seconds * spec.sample_rate_hz)
+        assert wave.sample_rate_hz == SAMPLE_RATE_HZ
+        assert wave.samples.size == int(spec.clip_seconds * SAMPLE_RATE_HZ)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -289,10 +263,7 @@ synth_specs = st.builds(
         st.builds(MachineSpec, name=names, sections=st.lists(section_specs, max_size=2).map(tuple)),
         max_size=2,
     ).map(tuple),
-    sample_rate_hz=st.integers(1, 96000),
     clip_seconds=finite,
-    tone_amp=finite,
-    am_depth=finite,
     tone_jitter_cents=finite,
     noise_amp_source=finite,
     noise_amp_target=finite,
@@ -301,9 +272,6 @@ synth_specs = st.builds(
         detune_cents=finite,
         clicks_per_second=finite,
         click_amp=finite,
-        detune_attr=st.none() | names,
-        ghost_attr=st.none() | names,
-        ghost_amp=finite,
     ),
     seed=st.integers(0, 2**63),
 )
@@ -312,7 +280,7 @@ synth_specs = st.builds(
 class TestSpecSerialization:
     def test_dict_roundtrip(self):
         spec = shifted_spec(seed=123)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert from_dict(SynthSpec, to_dict(spec)) == spec
 
     def test_json_file_roundtrip(self, tmp_path):
         spec = default_spec(seed=5)
@@ -328,8 +296,8 @@ class TestSpecSerialization:
     @pytest.mark.parametrize(
         "preset, sha256",
         [
-            (default_spec, "19baedb5de41aa621e68d4318f05fbe109a41690d76608ee4219bc0f35243afe"),
-            (shifted_spec, "46a3027a077325e2458b79b37b0e61a32a5401e955191b98af61b4a881778f2a"),
+            (default_spec, "c82adda4050e6f93168ea3dc1559eb99e0929238bf827e0721b6be5fd6e91f2d"),
+            (shifted_spec, "65483e4c1fc3ddc2f93372dcee1d305acaa3a3d747b3a4216afef9f6f9b2cad4"),
         ],
     )
     def test_preset_json_is_pinned(self, preset, sha256):
