@@ -9,7 +9,6 @@ from .config import RunConfig
 from .dsp import Waveform, log_mel
 from .evaluation import EvalReport, ScoredClip, auc, build_report, harmonic_total
 from .metadata import (
-    AttributeGroupKey,
     ClipMeta,
     LabelSpace,
     assign_labels,
@@ -23,7 +22,6 @@ from .training import TrainConfig, gradient_check, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeGroupKey",
     "CentreModel",
     "ClipMeta",
     "EvalReport",

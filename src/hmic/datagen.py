@@ -30,6 +30,7 @@ from .metadata import ClipMeta, ManifestEntry, ManifestError, format_attributes,
 TONE_AMP = 0.07  # nominal amplitude of each tone, before its per-clip 0.85-1.15 gain
 AM_DEPTH = 0.5  # depth of the section's slow amplitude modulation
 _BURST_LEN = int(0.004 * SAMPLE_RATE_HZ)  # samples in one 4 ms anomaly click
+MAX_CLIP_SECONDS = 60.0  # 6x the paper's clips; rendering one holds ~31 MB of float64
 
 
 class SynthSpecError(HmicError, ValueError):
@@ -112,8 +113,9 @@ class SynthSpec:
                 raise SynthSpecError(f"{path} must be finite and within the float range")
         if self.seed < 0:
             raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
-        if self.n_samples <= _BURST_LEN:
-            raise SynthSpecError(f"clip_seconds must exceed one 4 ms click, got {self.clip_seconds}")
+        if self.n_samples <= _BURST_LEN or self.clip_seconds > MAX_CLIP_SECONDS:
+            raise SynthSpecError(f"clip_seconds must exceed one 4 ms click and be at most "
+                                 f"{MAX_CLIP_SECONDS:g}, got {self.clip_seconds}")
         if self.anomaly.clicks_per_second > SAMPLE_RATE_HZ:
             raise SynthSpecError(f"anomaly.clicks_per_second must be <= {SAMPLE_RATE_HZ}, "
                                  f"got {self.anomaly.clicks_per_second}")

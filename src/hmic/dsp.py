@@ -33,7 +33,7 @@ FLOOR_EPSILON = 1e-10
 
 
 class DspError(HmicError, ValueError):
-    """Invalid audio input or front-end parameters."""
+    """Invalid audio input."""
 
 
 @dataclass(frozen=True)
@@ -61,79 +61,52 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def stft_power(wave: Waveform, frame_size: int = FRAME_SIZE) -> np.ndarray:
-    """Power spectrogram, shape (frame_size/2 + 1, n_frames), hop frame_size/2.
+def stft_power(wave: Waveform) -> np.ndarray:
+    """Power spectrogram, shape (FRAME_SIZE/2 + 1, n_frames), hop FRAME_SIZE/2.
 
     n_frames = ceil(len/hop); the signal is zero-padded at the end so every
     hop position yields a full frame.
     """
-    if frame_size % 2 != 0:
-        raise DspError(f"frame_size must be even, got {frame_size}")
-    hop = frame_size // 2
+    hop = FRAME_SIZE // 2
     samples = wave.samples
     if samples.size < 1:
         raise DspError("cannot transform an empty waveform")
     n_frames = -(-samples.size // hop)
-    padded_len = (n_frames - 1) * hop + frame_size
+    padded_len = (n_frames - 1) * hop + FRAME_SIZE
     padded = np.zeros(padded_len, dtype=np.float64)
     padded[: samples.size] = samples
-    frames = np.lib.stride_tricks.sliding_window_view(padded, frame_size)[::hop]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, FRAME_SIZE)[::hop]
     frames = frames[:n_frames]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_size) / frame_size)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_SIZE) / FRAME_SIZE)
     spectrum = np.fft.rfft(frames * window, axis=1)
     power = (spectrum.real**2 + spectrum.imag**2).T
     return np.ascontiguousarray(power)
 
 
-@lru_cache(maxsize=8)
-def _build_filterbank(n_fft_bins, n_mels, sample_rate_hz, f_min_hz, f_max_hz):
-    mel_lo = hz_to_mel(f_min_hz)
-    mel_hi = hz_to_mel(f_max_hz)
-    grid = np.linspace(mel_lo, mel_hi, n_mels + 2)
-    spacing = (mel_hi - mel_lo) / (n_mels + 1)
-    bin_freqs = np.arange(n_fft_bins) * (sample_rate_hz / 2.0) / (n_fft_bins - 1)
-    bin_mels = hz_to_mel(bin_freqs)
-    centres = grid[1:-1]
-    weights = 1.0 - np.abs(bin_mels[None, :] - centres[:, None]) / spacing
-    bank = np.maximum(weights, 0.0)
-    empty = np.where(~bank.any(axis=1))[0]
-    if empty.size:
-        raise DspError(
-            f"mel filters {empty.tolist()} have empty support; "
-            f"reduce n_mels or widen the frequency range"
-        )
-    return bank
+def _mel_grid() -> np.ndarray:
+    """N_MELS + 2 points evenly spaced on the mel scale from F_MIN_HZ to F_MAX_HZ."""
+    return np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), N_MELS + 2)
 
 
-def mel_filterbank(
-    n_fft_bins: int,
-    n_mels: int,
-    sample_rate_hz: int,
-    f_min_hz: float = 0.0,
-    f_max_hz: float | None = None,
-) -> np.ndarray:
-    """Triangular filterbank, linear on the mel scale; shape (n_mels, n_fft_bins).
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """Triangular filterbank, linear on the mel scale; shape (N_MELS, FRAME_SIZE/2 + 1).
 
     Filters are unnormalized triangles with unit peak on a uniform mel grid.
     """
-    if f_max_hz is None:
-        f_max_hz = sample_rate_hz / 2.0
-    if n_mels < 1:
-        raise DspError(f"n_mels must be >= 1, got {n_mels}")
-    if n_fft_bins < 2:
-        raise DspError(f"n_fft_bins must be >= 2, got {n_fft_bins}")
-    if not (0.0 <= f_min_hz < f_max_hz <= sample_rate_hz / 2.0):
-        raise DspError(
-            f"need 0 <= f_min < f_max <= nyquist, got "
-            f"f_min={f_min_hz}, f_max={f_max_hz}, sr={sample_rate_hz}"
-        )
-    return _build_filterbank(n_fft_bins, n_mels, sample_rate_hz, float(f_min_hz), float(f_max_hz))
+    n_fft_bins = FRAME_SIZE // 2 + 1
+    grid = _mel_grid()
+    spacing = (grid[-1] - grid[0]) / (N_MELS + 1)
+    bin_mels = hz_to_mel(np.arange(n_fft_bins) * (SAMPLE_RATE_HZ / 2.0) / (n_fft_bins - 1))
+    weights = 1.0 - np.abs(bin_mels[None, :] - grid[1:-1, None]) / spacing
+    bank = np.maximum(weights, 0.0)
+    bank.flags.writeable = False  # the cache hands this one array to every caller
+    return bank
 
 
-def mel_centres_hz(n_mels: int, f_min_hz: float, f_max_hz: float) -> np.ndarray:
+def mel_centres_hz() -> np.ndarray:
     """Centre frequency of each mel filter, in Hz."""
-    grid = np.linspace(hz_to_mel(f_min_hz), hz_to_mel(f_max_hz), n_mels + 2)
-    return mel_to_hz(grid[1:-1])
+    return mel_to_hz(_mel_grid()[1:-1])
 
 
 def log_mel(wave: Waveform) -> np.ndarray:
@@ -143,9 +116,7 @@ def log_mel(wave: Waveform) -> np.ndarray:
             f"sample rate mismatch: waveform has {wave.sample_rate_hz} Hz, "
             f"the front end expects {SAMPLE_RATE_HZ} Hz (resampling unsupported)"
         )
-    power = stft_power(wave)
-    bank = mel_filterbank(power.shape[0], N_MELS, SAMPLE_RATE_HZ, F_MIN_HZ, F_MAX_HZ)
-    return np.log(np.maximum(bank @ power, FLOOR_EPSILON))
+    return np.log(np.maximum(mel_filterbank() @ stft_power(wave), FLOOR_EPSILON))
 
 
 def standardize(values: np.ndarray) -> np.ndarray:

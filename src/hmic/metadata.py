@@ -46,6 +46,10 @@ class ManifestError(HmicError, ValueError):
     """A manifest CSV is malformed."""
 
 
+# An attribute group: a section plus its canonically sorted (name, value) pairs.
+GroupKey = tuple[int, tuple[tuple[str, str], ...]]
+
+
 @dataclass(frozen=True)
 class ClipMeta:
     """Identity of one audio clip.
@@ -82,86 +86,36 @@ class ClipMeta:
                 f"training clip {self.clip_id!r} must be normal, got {self.condition!r}"
             )
 
-    @property
-    def attribute_map(self) -> dict[str, str]:
-        return dict(self.attributes)
-
-    def group_key(self) -> "AttributeGroupKey":
-        return AttributeGroupKey(self.section_id, self.attributes)
-
-
-@dataclass(frozen=True)
-class AttributeGroupKey:
-    """Identity of one attribute group: a section plus a canonical pair list."""
-
-    section_id: int
-    attribute_pairs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted(tuple(p) for p in self.attribute_pairs))
-        object.__setattr__(self, "attribute_pairs", pairs)
-
-    def sort_key(self) -> tuple:
-        return (self.section_id, self.attribute_pairs)
+    def group_key(self) -> GroupKey:
+        return (self.section_id, self.attributes)
 
 
 @dataclass(frozen=True)
 class LabelSpace:
     """Integer label assignments for one machine type.
 
-    ``id_labels`` maps section IDs to contiguous section labels, ``ag_labels``
-    maps group keys to contiguous group labels, and ``ag_by_section`` derives
-    from them which group labels hang under each section. Instances are
-    read-only and safe to share across workers.
+    ``sections`` and ``groups`` are sorted, and a label is a key's position:
+    section ``sections[i]`` has label ``i`` and group ``groups[j]`` label ``j``.
+    Instances are read-only and safe to share across workers.
     """
 
     machine_type: str
-    id_labels: dict[int, int]
-    ag_labels: dict[AttributeGroupKey, int]
-
-    @property
-    def ag_by_section(self) -> dict[int, tuple[int, ...]]:
-        return {s: tuple(sorted(l for k, l in self.ag_labels.items() if k.section_id == s))
-                for s in sorted(self.id_labels)}
+    sections: tuple[int, ...]
+    groups: tuple[GroupKey, ...]
 
     @property
     def n_sections(self) -> int:
-        return len(self.id_labels)
+        return len(self.sections)
 
     @property
     def n_groups(self) -> int:
-        return len(self.ag_labels)
-
-    def to_dict(self) -> dict:
-        return {
-            "machine_type": self.machine_type,
-            "sections": {str(s): l for s, l in sorted(self.id_labels.items())},
-            "groups": [
-                {
-                    "section": key.section_id,
-                    "pairs": [list(p) for p in key.attribute_pairs],
-                    "label": label,
-                }
-                for key, label in sorted(self.ag_labels.items(), key=lambda kv: kv[1])
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "LabelSpace":
-        id_labels = {int(s): int(l) for s, l in data["sections"].items()}
-        ag_labels = {
-            AttributeGroupKey(int(g["section"]), tuple((n, v) for n, v in g["pairs"])): int(
-                g["label"]
-            )
-            for g in data["groups"]
-        }
-        return LabelSpace(data["machine_type"], id_labels, ag_labels)
+        return len(self.groups)
 
 
 def parse_dcase_filename(filename: str, machine_type: str = "unknown") -> ClipMeta:
     """Parse ``section_<SS>_<domain>_<split>_<condition>_<idx>_<name>_<value>_... .wav``.
 
-    Attribute tokens must come in name/value pairs; the parsed attribute map is
+    Attribute tokens must come in name/value pairs; the parsed attribute pairs are
     canonically sorted, so token order in the filename is irrelevant.
     """
     name = Path(filename).name
@@ -229,24 +183,21 @@ def build_label_space(clips: list[ClipMeta], machine_type: str) -> LabelSpace:
                 f"label spaces are built from training clips only; "
                 f"{clip.clip_id!r} has split {clip.split!r}"
             )
-    sections = sorted({c.section_id for c in clips})
-    id_labels = {s: i for i, s in enumerate(sections)}
-    keys = sorted({c.group_key() for c in clips}, key=AttributeGroupKey.sort_key)
-    ag_labels = {k: m for m, k in enumerate(keys)}
-    return LabelSpace(machine_type, id_labels, ag_labels)
+    return LabelSpace(machine_type, tuple(sorted({c.section_id for c in clips})),
+                      tuple(sorted({c.group_key() for c in clips})))
 
 
 def assign_labels(clip: ClipMeta, space: LabelSpace) -> tuple[int, int]:
     """Return (section label, attribute-group label) for a clip."""
     try:
-        section_label = space.id_labels[clip.section_id]
-    except KeyError:
+        section_label = space.sections.index(clip.section_id)
+    except ValueError:
         raise UnknownLabelError(
             f"section {clip.section_id} not in label space for {space.machine_type!r}"
         ) from None
     try:
-        group_label = space.ag_labels[clip.group_key()]
-    except KeyError:
+        group_label = space.groups.index(clip.group_key())
+    except ValueError:
         raise UnknownLabelError(
             f"attribute combination {clip.attributes!r} unseen under "
             f"section {clip.section_id}"

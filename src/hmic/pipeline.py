@@ -219,7 +219,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
             tensors[f"{machine}/param/{name}"] = value
         tensors.update(scoring.centre_model_to_tensors(agc, f"{machine}/agc"))
         tensors.update(scoring.centre_model_to_tensors(dc, f"{machine}/dc"))
-        label_spaces[machine] = space.to_dict()
+        label_spaces[machine] = to_dict(space)
 
     embedded = {
         "run": to_dict(config),
@@ -234,7 +234,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
 def _params_from_checkpoint(tensors, machine: str, model_config: ModelConfig) -> ModelParams:
     """The machine's parameter tensors in ``NET_DTYPE``, checked name by name
     and shape by shape against what ``init_params`` lays out for the
-    classifier sizes they hold."""
+    classifier sizes they hold, and checked to be finite in ``NET_DTYPE``."""
     prefix = f"{machine}/param/"
     own = {name[len(prefix):]: value for name, value in tensors.items()
            if name.startswith(prefix)}
@@ -249,7 +249,13 @@ def _params_from_checkpoint(tensors, machine: str, model_config: ModelConfig) ->
         raise PipelineError(f"{prefix} tensors do not match the model config: checkpoint has "
                             f"{sorted(found.items() - expected.items())}, config lays out "
                             f"{sorted(expected.items() - found.items())}")
-    return ModelParams(tensors=own, config=model_config).astype(NET_DTYPE)
+    with np.errstate(over="ignore"):  # a weight past the NET_DTYPE range becomes inf
+        params = ModelParams(tensors=own, config=model_config).astype(NET_DTYPE)
+    for name in sorted(params.tensors):
+        if not np.all(np.isfinite(params.tensors[name])):
+            raise PipelineError(f"{prefix}{name} holds values that are not finite in "
+                                f"{np.dtype(NET_DTYPE)}")
+    return params
 
 
 @dataclass(frozen=True)

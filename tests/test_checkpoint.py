@@ -18,6 +18,7 @@ from hmic.checkpoint import (
 )
 from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, save_run_config
 from hmic.datagen import AttributeSpec, SynthSpec
+from hmic.metadata import LabelSpace
 from hmic.model import ModelConfig
 from hmic.training import TrainConfig
 
@@ -234,9 +235,10 @@ def _leaf_hints(hint, seen=None):
 class TestDecodableHints:
     """``from_dict`` decodes dataclasses, ``tuple[...]``, ``dict[...]`` and the
     four JSON leaf types; a config or spec field of any other kind would reach
-    ``hmic generate`` or ``hmic train`` as a traceback, not a one-line error."""
+    ``hmic generate`` or ``hmic train`` as a traceback, not a one-line error,
+    and a label-space field of another kind would not decode from a checkpoint."""
 
-    @pytest.mark.parametrize("root", [RunConfig, SynthSpec])
+    @pytest.mark.parametrize("root", [RunConfig, SynthSpec, LabelSpace])
     def test_every_reachable_hint_is_decodable(self, root):
         assert set(_leaf_hints(root)) - DECODABLE_LEAVES == set()
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from hmic import dsp, model, pipeline, scoring
-from hmic.checkpoint import load_checkpoint, save_checkpoint, to_dict
+from hmic.checkpoint import from_dict, load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
 from hmic.config import ConfigError, load_run_config
 from hmic.datagen import generate, load_spec, spec_to_json
-from hmic.metadata import ManifestError, read_manifest, write_manifest
+from hmic.metadata import (LabelSpace, ManifestError, build_label_space, read_manifest,
+                           write_manifest)
 from hmic.pipeline import PipelineError, extract_features, read_scores_csv, run_train
 
 from conftest import make_tiny_config, make_tiny_spec
@@ -76,6 +77,7 @@ BAD_SPECS = {
     "negative_clip_seconds": lambda d: d.update(clip_seconds=-1),
     "nan_clip_seconds": lambda d: d.update(clip_seconds=NAN),
     "clip_no_longer_than_a_click": lambda d: d.update(clip_seconds=0.002),
+    "clip_seconds_past_bound": lambda d: d.update(clip_seconds=61),
     "negative_section_id": lambda d: _first_section(d).update(section_id=-1),
     "duplicate_attribute_name": lambda d: _first_section(d)["attributes"].append(
         _first_attribute(d)),
@@ -772,6 +774,8 @@ _TENSOR_EDITS = {
     "non_integer_section": _rename_section,
     "missing_cov": lambda tensors: tensors.pop(_first(tensors, "gizmo/agc/", "/cov")),
     "nan_centre": lambda tensors: tensors[_first(tensors, "gizmo/agc/", "/centre")].fill(np.nan),
+    "nan_conv1_w": lambda tensors: tensors["gizmo/param/conv1.w"].fill(np.nan),
+    "conv1_w_past_float32": lambda tensors: tensors["gizmo/param/conv1.w"].fill(1e300),
     "centres_narrower_than_embedding": _narrow_centres,
 }
 
@@ -813,6 +817,15 @@ class TestCheckpointTrust:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_label_spaces_round_trip(self, trained):
+        _, manifest, checkpoint, _ = trained
+        _, block, _ = load_checkpoint(checkpoint)
+        train = [e.meta for e in read_manifest(manifest) if e.meta.split == "train"]
+        assert sorted(block["label_spaces"]) == block["machines"] == ["gizmo"]
+        for machine, data in block["label_spaces"].items():
+            own = [meta for meta in train if meta.machine_type == machine]
+            assert from_dict(LabelSpace, data) == build_label_space(own, machine)
 
     def test_weights_that_are_not_float32_values_score_rounded(self, trained, tmp_path,
                                                                tiny_config_path):

@@ -25,9 +25,6 @@ from hmic.datagen import (
     synthesize_clip,
 )
 from hmic.dsp import (
-    F_MAX_HZ,
-    F_MIN_HZ,
-    N_MELS,
     SAMPLE_RATE_HZ,
     Waveform,
     log_mel,
@@ -96,7 +93,7 @@ class TestPlanCorpus:
         # 4 source combos + 2 target combos (xt x mic values) per section
         assert space.n_groups == 18
         target_train = [m for m in train if m.domain == "target"]
-        assert all(m.attribute_map["spd"] == "xt" for m in target_train)
+        assert all(dict(m.attributes)["spd"] == "xt" for m in target_train)
 
     def test_every_test_cell_has_both_conditions(self):
         plans = plan_corpus(tiny_spec())
@@ -195,12 +192,12 @@ class TestSynthesize:
         plan = next(
             p
             for p in plan_corpus(spec)
-            if p.meta.condition == "normal" and p.meta.attribute_map["spd"] == "A"
+            if p.meta.condition == "normal" and dict(p.meta.attributes)["spd"] == "A"
         )
         samples = synthesize_clip(spec, plan)
         wave = Waveform(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)
         values = log_mel(wave)
-        centres = mel_centres_hz(N_MELS, F_MIN_HZ, F_MAX_HZ)
+        centres = mel_centres_hz()
         expected_bin = int(np.argmin(np.abs(centres - plan.tone_freqs_hz[0])))
         peak_bins = values.argmax(axis=0)
         assert np.all(np.abs(peak_bins - expected_bin) <= 1)

@@ -36,11 +36,11 @@ def tone(freq, seconds=1.0, amp=0.5, sr=SR):
 
 class TestStftPower:
     def test_ten_second_clip_gives_313_frames(self):
-        power = stft_power(make_wave(np.zeros(160000)), 1024)
+        power = stft_power(make_wave(np.zeros(160000)))
         assert power.shape == (513, 313)
 
     def test_zero_waveform_gives_zero_power(self):
-        power = stft_power(make_wave(np.zeros(4096)), 1024)
+        power = stft_power(make_wave(np.zeros(4096)))
         assert np.all(power == 0.0)
 
     @pytest.mark.parametrize("position", [100, 511, 700])
@@ -48,44 +48,36 @@ class TestStftPower:
         # Direct DFT of a windowed impulse: |w[k] e^{-i w k}|^2 = w[k]^2 in every bin.
         samples = np.zeros(1024)
         samples[position] = 1.0
-        power = stft_power(make_wave(samples), 1024)
+        power = stft_power(make_wave(samples))
         expected = (0.5 - 0.5 * math.cos(2 * math.pi * position / 1024)) ** 2
         assert np.allclose(power[:, 0], expected, rtol=1e-9, atol=1e-12)
 
     def test_empty_waveform_is_error(self):
         with pytest.raises(DspError):
-            stft_power(make_wave(np.zeros(0)), 1024)
+            stft_power(make_wave(np.zeros(0)))
 
     def test_hop_shift_moves_frames_one_column(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(size=5000)
         shifted = np.concatenate([np.zeros(512), samples])
-        original = stft_power(make_wave(samples), 1024)
-        moved = stft_power(make_wave(shifted), 1024)
+        original = stft_power(make_wave(samples))
+        moved = stft_power(make_wave(shifted))
         assert moved.shape[1] == original.shape[1] + 1
         np.testing.assert_array_equal(moved[:, 1:], original)
 
 
 class TestMelFilterbank:
     def test_shape_and_nonnegativity(self):
-        bank = mel_filterbank(513, 128, SR, 0.0, 8000.0)
+        bank = mel_filterbank()
         assert bank.shape == (128, 513)
         assert np.all(bank >= 0.0)
         assert np.all(bank.any(axis=1))
 
     def test_rows_have_contiguous_support(self):
-        bank = mel_filterbank(513, 128, SR, 0.0, 8000.0)
+        bank = mel_filterbank()
         for row in bank:
             nz = np.nonzero(row)[0]
             assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
-
-    def test_single_filter_spans_range(self):
-        bank = mel_filterbank(513, 1, SR, 0.0, 8000.0)
-        assert bank.shape == (1, 513)
-        # one triangle peaking mid-range, zero at both edges
-        assert bank[0, 0] == 0.0
-        assert bank[0, -1] == 0.0
-        assert bank[0].max() > 0.9
 
     def test_mel_formula_anchor_points(self):
         # chosen scale: mel = 2595 log10(1 + f/700)
@@ -94,16 +86,10 @@ class TestMelFilterbank:
         assert math.isclose(mel_to_hz(hz_to_mel(432.1)), 432.1, rel_tol=1e-12)
 
     def test_centres_sit_on_uniform_mel_grid(self):
-        centres = mel_centres_hz(128, 0.0, 8000.0)
+        centres = mel_centres_hz()
         mels = hz_to_mel(centres)
         spacing = np.diff(mels)
         assert np.allclose(spacing, spacing[0], rtol=1e-9)
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(DspError):
-            mel_filterbank(513, 128, SR, 4000.0, 1000.0)
-        with pytest.raises(DspError):
-            mel_filterbank(513, 128, SR, 0.0, 9000.0)
 
 
 def analytic_centres(n_mels, f_min, f_max):

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmic.checkpoint import from_dict, to_dict
 from hmic.metadata import (
-    AttributeGroupKey,
     ClipMeta,
     FilenameParseError,
     LabelSpace,
@@ -41,7 +43,7 @@ class TestParseFilename:
         assert meta.domain == "source"
         assert meta.split == "train"
         assert meta.condition == "normal"
-        assert meta.attribute_map == {"car": "A1", "spd": "28V", "mic": "1", "noise": "1"}
+        assert dict(meta.attributes) == {"car": "A1", "spd": "28V", "mic": "1", "noise": "1"}
         # canonical ordering is by attribute name
         assert [n for n, _ in meta.attributes] == ["car", "mic", "noise", "spd"]
 
@@ -90,7 +92,7 @@ class TestParseFilename:
     def test_attribute_token_order_is_irrelevant(self, perm):
         attr_part = "_".join(f"{n}_{v}" for n, v in perm)
         meta = parse_dcase_filename(f"section_02_source_test_normal_0000_{attr_part}.wav")
-        assert meta.group_key() == AttributeGroupKey(
+        assert meta.group_key() == (
             2, (("car", "A1"), ("mic", "1"), ("noise", "2"), ("spd", "28V"))
         )
 
@@ -178,8 +180,9 @@ class TestBuildLabelSpace:
         space = build_label_space(clips, "gizmo")
         assert space.n_sections == 3
         assert space.n_groups == len(expected) == 12
-        assert sorted(space.id_labels.values()) == [0, 1, 2]
-        assert sorted(space.ag_labels.values()) == list(range(12))
+        labels = [assign_labels(clip, space) for clip in clips]
+        assert sorted({section for section, _ in labels}) == [0, 1, 2]
+        assert sorted({group for _, group in labels}) == list(range(12))
 
     def test_eleven_value_combos_give_eleven_groups(self):
         clips = [
@@ -197,7 +200,8 @@ class TestBuildLabelSpace:
             for v in range(s + 1)
         ]
         space = build_label_space(clips, "gizmo")
-        assert sum(len(v) for v in space.ag_by_section.values()) == space.n_groups
+        per_section = [sum(g[0] == s for g in space.groups) for s in space.sections]
+        assert per_section == [1, 2, 3] and sum(per_section) == space.n_groups
 
     def test_every_group_under_exactly_one_section(self):
         clips = [
@@ -206,8 +210,9 @@ class TestBuildLabelSpace:
             for v in ("x", "y")
         ]
         space = build_label_space(clips, "gizmo")
-        seen = [label for labels in space.ag_by_section.values() for label in labels]
+        seen = [assign_labels(clip, space)[1] for clip in clips]
         assert sorted(seen) == list(range(space.n_groups))
+        assert all(space.groups[label][0] == clip.section_id for clip, label in zip(clips, seen))
 
     @settings(max_examples=50, deadline=None)
     @given(clips=st.lists(clip_strategy, min_size=1, max_size=20, unique_by=lambda c: c.clip_id))
@@ -253,10 +258,10 @@ class TestAssignLabels:
     def test_roundtrip_group_is_registered_under_its_section(self):
         for clip in self.clips:
             _, group_label = assign_labels(clip, self.space)
-            assert group_label in self.space.ag_by_section[clip.section_id]
+            assert self.space.groups[group_label][0] == clip.section_id
 
     def test_label_space_dict_roundtrip(self):
-        restored = LabelSpace.from_dict(self.space.to_dict())
+        restored = from_dict(LabelSpace, json.loads(json.dumps(to_dict(self.space))))
         assert restored == self.space
 
 
