@@ -6,7 +6,7 @@ minimum Mahalanobis distance to attribute-group centres.
 """
 
 from .config import RunConfig
-from .dsp import Waveform, log_mel
+from .dsp import log_mel
 from .evaluation import EvalReport, ScoredClip, auc, build_report, harmonic_total
 from .metadata import (
     ClipMeta,
@@ -15,7 +15,7 @@ from .metadata import (
     build_label_space,
     parse_dcase_filename,
 )
-from .model import FeaturePair, LossBreakdown, ModelConfig, ModelParams, forward_features
+from .model import LossBreakdown, ModelConfig, ModelParams, forward_features
 from .scoring import CentreModel, fit_agc, fit_dc, mahalanobis, score_agc, score_dc
 from .training import TrainConfig, gradient_check, train
 
@@ -25,7 +25,6 @@ __all__ = [
     "CentreModel",
     "ClipMeta",
     "EvalReport",
-    "FeaturePair",
     "LabelSpace",
     "LossBreakdown",
     "ModelConfig",
@@ -33,7 +32,6 @@ __all__ = [
     "RunConfig",
     "ScoredClip",
     "TrainConfig",
-    "Waveform",
     "assign_labels",
     "auc",
     "build_label_space",

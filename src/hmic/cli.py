@@ -60,8 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--manifest", type=Path, required=True)
     p_eval.add_argument("--out", type=Path, required=True, help="report JSON path")
     p_eval.add_argument("--csv", type=Path, help="optional flat CSV export")
-    p_eval.add_argument("--pauc-p", type=float, default=0.1)
-    p_eval.add_argument("--config", type=Path, help="embed this config's digest in the report")
+    p_eval.add_argument("--pauc-p", type=float,
+                        help="partial-AUC false-positive-rate cap (default: the config's)")
+    p_eval.add_argument("--config", type=Path,
+                        help="take pauc_p from this config and embed its digest in the report")
 
     p_pipe = sub.add_parser("pipeline", help="run all stages under one directory")
     p_pipe.add_argument("--workdir", type=Path, required=True)
@@ -106,9 +108,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    digest = load_run_config(args.config).semantic_digest() if args.config else None
-    report = run_eval(args.scores, args.manifest, args.out, args.csv, args.pauc_p,
-                      config_digest=digest)
+    config = load_run_config(args.config) if args.config else RunConfig()
+    report = run_eval(args.scores, args.manifest, args.out, args.csv,
+                      config.with_overrides(pauc_p=args.pauc_p).pauc_p,
+                      config_digest=config.semantic_digest() if args.config else None)
     print(
         f"total AUC {report.total_auc:.4f}  pAUC {report.total_pauc:.4f}  "
         f"combined {report.total_combined:.4f} -> {args.out}"

@@ -317,7 +317,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
     for plan in plans:
         filename = f"{plan.meta.clip_id}.wav"
         (out_dir / filename).parent.mkdir(parents=True, exist_ok=True)
-        write_wav_mono(out_dir / filename, synthesize_clip(spec, plan), SAMPLE_RATE_HZ)
+        write_wav_mono(out_dir / filename, synthesize_clip(spec, plan))
         entries.append(ManifestEntry(meta=plan.meta, path=filename))
     manifest_path = out_dir / "manifest.csv"
     write_manifest(entries, manifest_path)

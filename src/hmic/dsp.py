@@ -1,10 +1,11 @@
-"""Waveform-to-log-Mel front end, WAV I/O, and the on-disk feature cache.
+"""Audio-to-log-Mel front end, WAV I/O at the fixed rate, and the on-disk feature cache.
 
 The front end is the DCASE 2022 Task 2 one, fixed as the constants below:
 16 kHz mono 16-bit PCM input, 1024-sample frames with 50% overlap (periodic
 Hann window, zero end-padding so a 10 s clip gives exactly 313 frames), 128
 triangular mel filters on the HTK mel scale over 0..8 kHz, natural log with a
-1e-10 floor. The model sees each log-Mel standardized per clip.
+1e-10 floor. The model sees each log-Mel standardized per clip. Audio is a
+1-D float64 array at SAMPLE_RATE_HZ; ``read_wav_mono`` refuses any other rate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import struct
 import threading
 import wave as wave_module
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,22 +36,6 @@ class DspError(HmicError, ValueError):
     """Invalid audio input."""
 
 
-@dataclass(frozen=True)
-class Waveform:
-    samples: np.ndarray
-    sample_rate_hz: int
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise DspError(f"waveform must be 1-D, got shape {samples.shape}")
-        if self.sample_rate_hz <= 0:
-            raise DspError(f"sample rate must be positive, got {self.sample_rate_hz}")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise DspError("waveform contains non-finite samples")
-        object.__setattr__(self, "samples", samples)
-
-
 def hz_to_mel(f_hz):
     """HTK mel scale: 2595 * log10(1 + f/700)."""
     return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
@@ -61,16 +45,16 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def stft_power(wave: Waveform) -> np.ndarray:
-    """Power spectrogram, shape (FRAME_SIZE/2 + 1, n_frames), hop FRAME_SIZE/2.
+def stft_power(samples: np.ndarray) -> np.ndarray:
+    """Power spectrogram of 1-D audio, shape (FRAME_SIZE/2 + 1, n_frames), hop
+    FRAME_SIZE/2.
 
     n_frames = ceil(len/hop); the signal is zero-padded at the end so every
     hop position yields a full frame.
     """
     hop = FRAME_SIZE // 2
-    samples = wave.samples
     if samples.size < 1:
-        raise DspError("cannot transform an empty waveform")
+        raise DspError("cannot transform empty audio")
     n_frames = -(-samples.size // hop)
     padded_len = (n_frames - 1) * hop + FRAME_SIZE
     padded = np.zeros(padded_len, dtype=np.float64)
@@ -109,14 +93,10 @@ def mel_centres_hz() -> np.ndarray:
     return mel_to_hz(_mel_grid()[1:-1])
 
 
-def log_mel(wave: Waveform) -> np.ndarray:
-    """log(max(filterbank @ power, floor)); (N_MELS, n_frames), natural log."""
-    if wave.sample_rate_hz != SAMPLE_RATE_HZ:
-        raise DspError(
-            f"sample rate mismatch: waveform has {wave.sample_rate_hz} Hz, "
-            f"the front end expects {SAMPLE_RATE_HZ} Hz (resampling unsupported)"
-        )
-    return np.log(np.maximum(mel_filterbank() @ stft_power(wave), FLOOR_EPSILON))
+def log_mel(samples: np.ndarray) -> np.ndarray:
+    """log(max(filterbank @ power, floor)) of audio at SAMPLE_RATE_HZ;
+    (N_MELS, n_frames), natural log."""
+    return np.log(np.maximum(mel_filterbank() @ stft_power(samples), FLOOR_EPSILON))
 
 
 def standardize(values: np.ndarray) -> np.ndarray:
@@ -132,31 +112,31 @@ def standardize(values: np.ndarray) -> np.ndarray:
 # --- WAV I/O (16-bit PCM mono) ---------------------------------------------
 
 
-def read_wav_mono(source: str | Path | bytes, name: str | Path | None = None) -> Waveform:
-    """Decode a WAV file given by path or by its bytes (``name`` labels errors
-    about bytes). A missing, truncated or non-WAV input raises DspError."""
-    if isinstance(source, bytes):
-        label, opened = name or "WAV data", io.BytesIO(source)
-    else:
-        label, opened = source, str(source)
+def read_wav_mono(data: bytes, name: str | Path) -> np.ndarray:
+    """The float64 samples of a WAV file's bytes; ``name`` labels every error.
+    A truncated or non-WAV input, or one not 16-bit mono at SAMPLE_RATE_HZ,
+    raises DspError."""
     try:
-        with wave_module.open(opened, "rb") as handle:
+        with wave_module.open(io.BytesIO(data), "rb") as handle:
             channels, width = handle.getnchannels(), handle.getsampwidth()
             if channels != 1:
-                raise DspError(f"{label}: expected mono audio, got {channels} channels")
+                raise DspError(f"{name}: expected mono audio, got {channels} channels")
             if width != 2:
-                raise DspError(f"{label}: expected 16-bit PCM, got {8 * width}-bit")
+                raise DspError(f"{name}: expected 16-bit PCM, got {8 * width}-bit")
             rate, n_samples = handle.getframerate(), handle.getnframes()
+            if rate != SAMPLE_RATE_HZ:
+                raise DspError(f"{name}: sampled at {rate} Hz, the front end takes "
+                               f"{SAMPLE_RATE_HZ} Hz (resampling unsupported)")
             raw = handle.readframes(n_samples)
-    except (OSError, EOFError, wave_module.Error) as exc:
-        raise DspError(f"{label}: cannot read WAV ({exc})") from None
+    except (EOFError, wave_module.Error) as exc:
+        raise DspError(f"{name}: cannot read WAV ({exc})") from None
     if len(raw) != 2 * n_samples:
-        raise DspError(f"{label}: truncated WAV (have {len(raw)} of {2 * n_samples} data bytes)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples, sample_rate_hz=rate)
+        raise DspError(f"{name}: truncated WAV (have {len(raw)} of {2 * n_samples} data bytes)")
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav_mono(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -> None:
+def write_wav_mono(path: str | Path, samples: np.ndarray) -> None:
+    """Write 1-D audio in [-1, 1] as a 16-bit mono WAV at SAMPLE_RATE_HZ."""
     samples = np.asarray(samples, dtype=np.float64)
     peak = np.max(np.abs(samples)) if samples.size else 0.0
     if peak > 1.0:
@@ -165,7 +145,7 @@ def write_wav_mono(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -
     with wave_module.open(str(path), "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
-        handle.setframerate(sample_rate_hz)
+        handle.setframerate(SAMPLE_RATE_HZ)
         handle.writeframes(pcm.tobytes())
 
 

@@ -94,14 +94,22 @@ class ClipMeta:
 class LabelSpace:
     """Integer label assignments for one machine type.
 
-    ``sections`` and ``groups`` are sorted, and a label is a key's position:
-    section ``sections[i]`` has label ``i`` and group ``groups[j]`` label ``j``.
-    Instances are read-only and safe to share across workers.
+    ``sections`` and ``groups`` are strictly increasing (LabelSpaceError
+    otherwise), and a label is a key's position: section ``sections[i]`` has
+    label ``i`` and group ``groups[j]`` label ``j``. Instances are read-only
+    and safe to share across workers.
     """
 
     machine_type: str
     sections: tuple[int, ...]
     groups: tuple[GroupKey, ...]
+
+    def __post_init__(self) -> None:
+        for name, keys in (("sections", self.sections), ("groups", self.groups)):
+            for a, b in zip(keys, keys[1:]):
+                if a >= b:
+                    raise LabelSpaceError(f"{self.machine_type}: {name} must be strictly "
+                                          f"increasing, got {a!r} before {b!r}")
 
     @property
     def n_sections(self) -> int:

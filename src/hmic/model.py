@@ -82,12 +82,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class FeaturePair:
-    feat_low: np.ndarray  # (B, d_l)
-    feat_high: np.ndarray  # (B, d_h)
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     loss_id: float
     loss_ag: float
@@ -126,10 +120,6 @@ def init_params(
 
 def _as_batch(x: np.ndarray, dtype) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
-    if x.ndim == 2:
-        x = x[None, None]
-    elif x.ndim == 3:
-        x = x[:, None]
     if x.ndim != 4 or x.shape[1] != 1:
         raise ModelError(f"expected (B, 1, H, W) input, got shape {x.shape}")
     n_pools = 3
@@ -151,17 +141,18 @@ def _block(h: np.ndarray, t: dict, name: str, caches: dict | None, pool: bool = 
     return h
 
 
-def _forward(params: ModelParams, x: np.ndarray, caches: dict | None = None) -> FeaturePair:
-    """Both feature vectors; fills ``caches`` for the backward pass when given."""
+def _forward(params: ModelParams, x: np.ndarray, caches: dict | None = None):
+    """The backbone's last feature map, which pools to the low-level feature,
+    and the (B, d_h) high-level feature; fills ``caches`` for the backward
+    pass when given."""
     t = params.tensors
     h = x
     for i in range(1, len(params.config.channels) + 1):
         h = _block(h, t, f"conv{i}", caches)
-    feat_low, c_gap_low = nn.global_avg_pool(h)
     feat_high, c_gap_high = nn.global_avg_pool(_block(h, t, "head", caches, pool=False))
     if caches is not None:
-        caches.update(gap_low=c_gap_low, gap_high=c_gap_high)
-    return FeaturePair(feat_low=feat_low, feat_high=feat_high)
+        caches["gap_high"] = c_gap_high
+    return h, feat_high
 
 
 def _chunks(n_clips: int, height: int, width: int) -> list[slice]:
@@ -173,50 +164,24 @@ def _chunks(n_clips: int, height: int, width: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_clips or 1, step)]
 
 
-def forward_features(params: ModelParams, x: np.ndarray) -> FeaturePair:
-    """Deterministic inference-mode feature extraction.
+def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The (B, d_h) high-level features of a (B, 1, H, W) batch: the
+    embedding that scoring uses.
 
-    Accepts a single (H, W) matrix or a (B, 1, H, W) / (B, H, W) batch, cast
-    to the parameters' dtype; the features come out in that dtype. The batch
-    runs in chunks of about ``_CHUNK_PIXELS`` input pixels and keeps no
-    backward caches, so a chunk's heap peaks well under twice its largest
-    temporary (conv2's column matrix); past that, glibc hands the heap back to
-    the kernel after each chunk and the next one faults it in again. A clip's
-    features do not depend on its chunk; only under 16 frames, where the head
-    conv's per-clip GEMM has 16 pixel columns and OpenBLAS sums a GEMM of
-    fewer than 32 in another order, may they move in the last bit.
+    The batch is cast to the parameters' dtype, and the features come out in
+    that dtype; the low-level feature, which only training's section-ID head
+    reads, is not pooled. The batch runs in chunks of about ``_CHUNK_PIXELS``
+    input pixels and keeps no backward caches, so a chunk's heap peaks well
+    under twice its largest temporary (conv2's column matrix); past that,
+    glibc hands the heap back to the kernel after each chunk and the next one
+    faults it in again. A clip's features do not depend on its chunk; only
+    under 16 frames, where the head conv's per-clip GEMM has 16 pixel columns
+    and OpenBLAS sums a GEMM of fewer than 32 in another order, may they move
+    in the last bit.
     """
     x = _as_batch(x, params.tensors["conv1.w"].dtype)
-    pairs = [_forward(params, x[part]) for part in _chunks(x.shape[0], *x.shape[2:])]
-    return FeaturePair(
-        feat_low=np.concatenate([p.feat_low for p in pairs]),
-        feat_high=np.concatenate([p.feat_high for p in pairs]),
-    )
-
-
-def _check_weight(id_loss_weight: float) -> None:
-    if not 0.0 <= id_loss_weight <= 1.0:
-        raise ModelError(f"id_loss_weight must be in [0, 1], got {id_loss_weight}")
-
-
-def _mixed(loss_id: float, loss_ag: float, id_loss_weight: float) -> LossBreakdown:
-    """The one place the two losses combine: ``w * id + (1 - w) * ag``."""
-    _check_weight(id_loss_weight)
-    total = id_loss_weight * loss_id + (1.0 - id_loss_weight) * loss_ag
-    return LossBreakdown(loss_id=loss_id, loss_ag=loss_ag, loss_total=total)
-
-
-def loss(
-    logits_id: np.ndarray,
-    logits_ag: np.ndarray,
-    labels_id: np.ndarray,
-    labels_ag: np.ndarray,
-    id_loss_weight: float,
-) -> LossBreakdown:
-    """Weighted sum of the two cross-entropy losses."""
-    loss_id, _ = nn.softmax_cross_entropy(logits_id, labels_id)
-    loss_ag, _ = nn.softmax_cross_entropy(logits_ag, labels_ag)
-    return _mixed(loss_id, loss_ag, id_loss_weight)
+    return np.concatenate([_forward(params, x[part])[1]
+                           for part in _chunks(x.shape[0], *x.shape[2:])])
 
 
 def loss_and_grads(
@@ -224,13 +189,14 @@ def loss_and_grads(
     x: np.ndarray,
     labels_id: np.ndarray,
     labels_ag: np.ndarray,
-    id_loss_weight: float,
 ):
-    """Forward + backward over the whole network.
+    """Forward + backward over the whole network for a (B, 1, H, W) batch.
 
     Returns (LossBreakdown, grads) where grads has one entry per parameter
-    tensor. Both losses backpropagate through the shared backbone; an endpoint
-    weight of 0 or 1 zeroes the other path's gradient exactly.
+    tensor. The loss is ``w * id + (1 - w) * ag`` with ``w`` the config's
+    ``id_loss_weight``. Both losses backpropagate through the shared
+    backbone; an endpoint weight of 0 or 1 zeroes the other path's gradient
+    exactly.
 
     The batch runs in the chunks of ``forward_features``. The batch-mean
     cross-entropy is a sum over clips, so each chunk's loss and its gradients,
@@ -247,7 +213,7 @@ def loss_and_grads(
     if labels_id.shape != (n_clips,) or labels_ag.shape != (n_clips,):
         raise ModelError(f"label shapes {labels_id.shape} and {labels_ag.shape} "
                          f"do not match a batch of {n_clips}")
-    _check_weight(id_loss_weight)
+    weight = params.config.id_loss_weight
 
     loss_id = loss_ag = 0.0
     grads: dict[str, np.ndarray] = {}
@@ -256,7 +222,7 @@ def loss_and_grads(
         share = chunk.shape[0] / n_clips
         chunk_id, chunk_ag, chunk_grads = _chunk_loss_and_grads(
             params, chunk, labels_id[part], labels_ag[part],
-            id_loss_weight * share, (1.0 - id_loss_weight) * share,
+            weight * share, (1.0 - weight) * share,
         )
         loss_id += share * chunk_id
         loss_ag += share * chunk_ag
@@ -265,7 +231,8 @@ def loss_and_grads(
         else:
             for name, grad in grads.items():
                 grad += chunk_grads[name]
-    return _mixed(loss_id, loss_ag, id_loss_weight), grads
+    total = weight * loss_id + (1.0 - weight) * loss_ag
+    return LossBreakdown(loss_id=loss_id, loss_ag=loss_ag, loss_total=total), grads
 
 
 def _chunk_loss_and_grads(params, x, labels_id, labels_ag, scale_id, scale_ag):
@@ -273,10 +240,11 @@ def _chunk_loss_and_grads(params, x, labels_id, labels_ag, scale_id, scale_ag):
     ``scale_id * id + scale_ag * ag``; every cache dies at return."""
     t = params.tensors
     cache: dict = {}
-    features = _forward(params, x, cache)
+    h, feat_high = _forward(params, x, cache)
+    feat_low, c_gap_low = nn.global_avg_pool(h)
 
-    logits_id, c_lin_id = nn.linear(features.feat_low, t["cls_id.w"], t["cls_id.b"])
-    logits_ag, c_lin_ag = nn.linear(features.feat_high, t["cls_ag.w"], t["cls_ag.b"])
+    logits_id, c_lin_id = nn.linear(feat_low, t["cls_id.w"], t["cls_id.b"])
+    logits_ag, c_lin_ag = nn.linear(feat_high, t["cls_ag.w"], t["cls_ag.b"])
     loss_id, dlogits_id = nn.softmax_cross_entropy(logits_id, labels_id)
     loss_ag, dlogits_ag = nn.softmax_cross_entropy(logits_ag, labels_ag)
 
@@ -294,7 +262,7 @@ def _chunk_loss_and_grads(params, x, labels_id, labels_ag, scale_id, scale_ag):
     dh, grads["head.g"] = nn.channel_scale_backward(dh, c_hscale)
     dmap_head, grads["head.w"], grads["head.b"] = nn.conv2d_backward(dh, c_hconv)
 
-    dmap = dmap_head + nn.global_avg_pool_backward(dfeat_low, cache["gap_low"])
+    dmap = dmap_head + nn.global_avg_pool_backward(dfeat_low, c_gap_low)
     for i in range(len(params.config.channels), 0, -1):
         c_conv, c_scale, c_relu, c_pool = cache[f"conv{i}"]
         dmap = nn.avg_pool2_backward(dmap, c_pool)

@@ -87,8 +87,7 @@ def extract_features(
                 return entry.meta.clip_id, digest, dsp.load_features(cached)
             except dsp.DspError:
                 pass  # a corrupt entry is a miss: re-extract and rewrite it
-        wave = dsp.read_wav_mono(data, name=path)
-        values = dsp.log_mel(wave).astype(np.float32)
+        values = dsp.log_mel(dsp.read_wav_mono(data, path)).astype(np.float32)
         dsp.save_features(cached, values)
         return entry.meta.clip_id, digest, values
 
@@ -145,7 +144,7 @@ def _embeddings(params, entries, features, wav_digests, cache_dir) -> np.ndarray
     if missed:
         shape = _feature_shape(missed, features)  # all of them, before the first forward
         computed = np.concatenate([
-            forward_features(params, _stack_inputs(missed[part], features, shape)).feat_high
+            forward_features(params, _stack_inputs(missed[part], features, shape))
             for part in _chunks(len(missed), *shape)])
         rows.update(zip((wav_digests[e.meta.clip_id] for e in missed), computed))
         dsp._write_entry(path, EMBEDDING_MAGIC, *(
@@ -212,9 +211,8 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
 
         embeddings = forward_features(params, inputs)
         sections = np.array([e.meta.section_id for e in own])
-        agc = scoring.fit_agc(embeddings.feat_high, labels_ag, sections)
-        dc = scoring.fit_dc(embeddings.feat_high, np.array([e.meta.domain for e in own]),
-                            sections)
+        agc = scoring.fit_agc(embeddings, labels_ag, sections)
+        dc = scoring.fit_dc(embeddings, np.array([e.meta.domain for e in own]), sections)
         for name, value in params.tensors.items():
             tensors[f"{machine}/param/{name}"] = value
         tensors.update(scoring.centre_model_to_tensors(agc, f"{machine}/agc"))
@@ -410,15 +408,23 @@ def run_pipeline(
     workdir: str | Path,
     spec=None,
 ) -> tuple[EvalReport, dict[str, Path]]:
-    """generate (if needed) -> train -> score -> eval under one working directory."""
-    from .datagen import default_spec, generate
+    """generate (if needed) -> train -> score -> eval under one working directory.
 
+    A corpus already in the workdir is reused only when its ``synth_spec.json``
+    is the one ``spec`` writes; another corpus there is a PipelineError before
+    anything is trained."""
+    from .datagen import default_spec, generate, spec_to_json
+
+    spec = spec if spec is not None else default_spec()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     corpus_dir = workdir / "corpus"
-    manifest = corpus_dir / "manifest.csv"
+    manifest, spec_file = corpus_dir / "manifest.csv", corpus_dir / "synth_spec.json"
     if not manifest.exists():
-        generate(spec if spec is not None else default_spec(), corpus_dir)
+        generate(spec, corpus_dir)
+    elif not spec_file.is_file() or spec_file.read_bytes() != spec_to_json(spec).encode():
+        raise PipelineError(f"{corpus_dir} holds a corpus of another synth spec; "
+                            f"use a new --workdir or delete that corpus")
     checkpoint_path = workdir / "model.hmic"
     run_train(config, corpus_dir, checkpoint_path, workdir)
     scores_csv = workdir / f"scores_{config.scoring_mode}.csv"

@@ -47,12 +47,10 @@ SHRINKAGE_REL = 1e-3
 Scores = tuple[np.ndarray, np.ndarray, dict[int, str]]
 
 
-def _shrink_eps(cov: np.ndarray, override: float | None) -> float:
-    """Diagonal shrinkage: absolute override, else SHRINKAGE_REL * trace/d (floor 1e-6)."""
-    if override is not None:
-        if override <= 0.0:
-            raise ScoringError(f"shrinkage must be positive, got {override}")
-        return float(override)
+def _shrink_eps(cov: np.ndarray) -> float:
+    """Diagonal shrinkage of a fitted group: SHRINKAGE_REL * trace/d, floor
+    1e-6. A checkpoint stores it per group, and ``centre_model_from_tensors``
+    takes it from there."""
     d = cov.shape[0]
     return max(SHRINKAGE_REL * float(np.trace(cov)) / d, 1e-6)
 
@@ -72,13 +70,7 @@ def _factor(cov: np.ndarray, eps: float) -> np.ndarray:
     return np.linalg.cholesky(shrunk)
 
 
-def _fit(
-    feats: np.ndarray,
-    labels: np.ndarray,
-    sections: np.ndarray,
-    kind: str,
-    shrinkage: float | None,
-) -> CentreModel:
+def _fit(feats: np.ndarray, labels: np.ndarray, sections: np.ndarray, kind: str) -> CentreModel:
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels)
     sections = np.asarray(sections)
@@ -97,34 +89,24 @@ def _fit(
             members = feats[in_section & (labels == label)]
             centre = members.mean(axis=0)
             cov = _population_cov(members - centre)
-            eps = _shrink_eps(cov, shrinkage)
+            eps = _shrink_eps(cov)
             groups.append(GroupCentre(label, centre, cov, eps, len(members), _factor(cov, eps)))
         groups_by_section[section] = tuple(groups)
     return CentreModel(kind=kind, groups_by_section=groups_by_section)
 
 
-def fit_agc(
-    feats: np.ndarray,
-    group_labels: np.ndarray,
-    sections: np.ndarray,
-    shrinkage: float | None = None,
-) -> CentreModel:
+def fit_agc(feats: np.ndarray, group_labels: np.ndarray, sections: np.ndarray) -> CentreModel:
     """Attribute-group centres: one centre/covariance per group label."""
-    return _fit(feats, group_labels, sections, "agc", shrinkage)
+    return _fit(feats, group_labels, sections, "agc")
 
 
-def fit_dc(
-    feats: np.ndarray,
-    domains: np.ndarray,
-    sections: np.ndarray,
-    shrinkage: float | None = None,
-) -> CentreModel:
+def fit_dc(feats: np.ndarray, domains: np.ndarray, sections: np.ndarray) -> CentreModel:
     """Domain centres: one centre per domain (source=0, target=1) under a section."""
     try:
         labels = np.array([DOMAIN_INDEX[d] for d in domains])
     except KeyError as exc:
         raise ScoringError(f"unknown domain {exc.args[0]!r}") from None
-    return _fit(feats, labels, sections, "dc", shrinkage)
+    return _fit(feats, labels, sections, "dc")
 
 
 def mahalanobis(feats: np.ndarray, centre: np.ndarray, solve: np.ndarray) -> np.ndarray:

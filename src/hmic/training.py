@@ -93,12 +93,13 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Train on normal clips only; returns final params and the per-epoch log.
 
-    features: (N, 1, H, W) or (N, H, W) float array of standardized log-Mel
-    matrices. Mini-batches are a fresh uniform permutation each epoch.
+    features: (N, 1, H, W) array of standardized log-Mel matrices; each batch
+    is cast to ``NET_DTYPE``, and any other shape is refused. Mini-batches
+    are a fresh uniform permutation each epoch. The loss weighs the two heads
+    by ``model_config.id_loss_weight``.
     """
-    features = np.asarray(features, dtype=NET_DTYPE)
-    if features.ndim == 3:
-        features = features[:, None]
+    if features.ndim != 4 or features.shape[1] != 1:
+        raise TrainingError(f"expected (N, 1, H, W) features, got shape {features.shape}")
     n_clips = features.shape[0]
     if n_clips == 0:
         raise TrainingError("cannot train on an empty corpus")
@@ -123,10 +124,8 @@ def train(
         sums = np.zeros(3)
         for batch, start in enumerate(range(0, n_clips, train_config.batch_size)):
             idx = order[start : start + train_config.batch_size]
-            breakdown, grads = loss_and_grads(
-                params, features[idx], labels_id[idx], labels_ag[idx],
-                model_config.id_loss_weight,
-            )
+            breakdown, grads = loss_and_grads(params, features[idx], labels_id[idx],
+                                              labels_ag[idx])
             if not np.isfinite(breakdown.loss_total):
                 raise TrainingError(
                     f"non-finite loss {breakdown.loss_total} at epoch {epoch}, batch {batch}"
@@ -159,10 +158,11 @@ def gradient_check(
     x: np.ndarray,
     labels_id: np.ndarray,
     labels_ag: np.ndarray,
-    id_loss_weight: float,
     eps: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central finite-difference gradients.
+    """Max relative error between analytic and central finite-difference
+    gradients of the loss ``loss_and_grads`` takes of the (B, 1, H, W) batch
+    ``x``, weighted by ``params.config.id_loss_weight``.
 
     Perturbs every element of every parameter tensor, so keep this to
     micro-configurations. The tensors must be float64: a step of ``eps`` is
@@ -174,10 +174,10 @@ def gradient_check(
                                 f"{name} is {tensor.dtype}")
 
     def total_loss() -> float:
-        breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag, id_loss_weight)
+        breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag)
         return breakdown.loss_total
 
-    _, analytic = loss_and_grads(params, x, labels_id, labels_ag, id_loss_weight)
+    _, analytic = loss_and_grads(params, x, labels_id, labels_ag)
     worst = 0.0
     for name, tensor in params.tensors.items():
         flat = tensor.reshape(-1)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,10 +17,10 @@ import pytest
 
 from hmic.config import RunConfig
 from hmic.datagen import default_spec, shifted_spec
-from hmic.dsp import Waveform, log_mel
+from hmic.dsp import log_mel
 from hmic.evaluation import auc_from_scores, harmonic_total, pauc_from_scores
 from hmic.metadata import build_label_space, parse_dcase_filename
-from hmic.model import ModelConfig, init_params, loss
+from hmic.model import ModelConfig, init_params, loss_and_grads
 from hmic.pipeline import run_eval, run_pipeline, run_score
 from hmic.scoring import _factor, fit_agc, mahalanobis, score_agc
 from hmic.training import gradient_check
@@ -91,7 +92,7 @@ def test_metadata_fidelity_against_brute_force_oracle():
 def test_dsp_shape_and_tone_localization():
     start = time.monotonic()
     rng = np.random.default_rng(0)
-    clip = log_mel(Waveform(rng.normal(scale=0.05, size=160000), 16000))
+    clip = log_mel(rng.normal(scale=0.05, size=160000))
     shape_ok = clip.shape == (128, 313)
 
     lo = 2595.0 * math.log10(1.0)
@@ -102,7 +103,7 @@ def test_dsp_shape_and_tone_localization():
     for bin_index in (34, 48, 64, 90, 120):
         freq = centres[bin_index]
         t = np.arange(16000) / 16000.0
-        values = log_mel(Waveform(0.5 * np.sin(2 * np.pi * freq * t), 16000))
+        values = log_mel(0.5 * np.sin(2 * np.pi * freq * t))
         tone_ok = tone_ok and bool(np.all(values.argmax(axis=0) == bin_index))
     elapsed = time.monotonic() - start
     ok = shape_ok and tone_ok and elapsed < 5.0
@@ -118,7 +119,7 @@ def test_gradient_correctness_micro_config():
     params = init_params(config, 2, 3, np.random.default_rng(11))
     rng = np.random.default_rng(42)
     x = rng.normal(size=(3, 1, 8, 10))
-    worst = gradient_check(params, x, np.array([0, 1, 0]), np.array([2, 0, 1]), 0.5, eps=1e-5)
+    worst = gradient_check(params, x, np.array([0, 1, 0]), np.array([2, 0, 1]), eps=1e-5)
     elapsed = time.monotonic() - start
     ok = worst < 1e-4 and elapsed < 30.0
     report("gradient-correctness", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -129,22 +130,30 @@ def test_gradient_correctness_micro_config():
 
 def test_loss_algebra():
     rng = np.random.default_rng(5)
-    logits_id = rng.normal(size=(4, 3))
-    logits_ag = rng.normal(size=(4, 7))
+    config = ModelConfig(channels=(2, 3, 4), head_channels=4)
+    x = rng.normal(size=(4, 1, 8, 8))
     labels_id = rng.integers(0, 3, 4)
     labels_ag = rng.integers(0, 7, 4)
-    at_one = loss(logits_id, logits_ag, labels_id, labels_ag, 1.0)
-    at_zero = loss(logits_id, logits_ag, labels_id, labels_ag, 0.0)
+
+    def breakdown(weight, n_sections=3, n_groups=7, zero_heads=False):
+        params = init_params(replace(config, id_loss_weight=weight), n_sections, n_groups,
+                             np.random.default_rng(6))
+        if zero_heads:  # uniform logits from both heads
+            for name in ("cls_id.w", "cls_id.b", "cls_ag.w", "cls_ag.b"):
+                params.tensors[name][...] = 0.0
+        return loss_and_grads(params, x, labels_id, labels_ag)[0]
+
+    at_one, at_zero = breakdown(1.0), breakdown(0.0)
     endpoints_ok = (
         at_one.loss_total == at_one.loss_id and at_zero.loss_total == at_zero.loss_ag
     )
     linear_ok = True
     for weight in (0.25, 0.5, 0.9):
-        mixed = loss(logits_id, logits_ag, labels_id, labels_ag, weight)
+        mixed = breakdown(weight)
         linear_ok = linear_ok and mixed.loss_total == (
             weight * mixed.loss_id + (1 - weight) * mixed.loss_ag
         )
-    uniform = loss(np.zeros((2, 5)), np.zeros((2, 9)), np.zeros(2, int), np.zeros(2, int), 0.5)
+    uniform = breakdown(0.5, n_sections=5, n_groups=9, zero_heads=True)
     uniform_ok = (
         abs(uniform.loss_id - math.log(5)) < 1e-12
         and abs(uniform.loss_ag - math.log(9)) < 1e-12

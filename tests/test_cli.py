@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import tracemalloc
+import wave as wave_module
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hmic import dsp, model, pipeline, scoring
 from hmic.checkpoint import from_dict, load_checkpoint, save_checkpoint, to_dict
 from hmic.cli import main
-from hmic.config import ConfigError, load_run_config
+from hmic.config import ConfigError, load_run_config, save_run_config
 from hmic.datagen import generate, load_spec, spec_to_json
 from hmic.metadata import (LabelSpace, ManifestError, build_label_space, read_manifest,
                            write_manifest)
@@ -402,6 +403,22 @@ class TestEval:
         for cell in report["cells"]:
             assert cell["pauc"] == cell["auc"]
 
+    @pytest.mark.parametrize("config_p,flag_p,want", [
+        (None, None, 0.1), (0.5, None, 0.5), (0.5, "0.2", 0.2), (None, "0.3", 0.3)])
+    def test_pauc_p_comes_from_the_flag_else_the_config(self, scores_csv, tmp_path, config_p,
+                                                         flag_p, want):
+        manifest, scores = scores_csv
+        args = ["eval", "--scores", scores, "--manifest", manifest,
+                "--out", tmp_path / "report.json"]
+        if config_p is not None:
+            config_path = tmp_path / "run.json"
+            save_run_config(replace(make_tiny_config(), pauc_p=config_p), config_path)
+            args += ["--config", config_path]
+        if flag_p is not None:
+            args += ["--pauc-p", flag_p]
+        assert run_cli(*args) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["pauc_p"] == want
+
     def test_report_cells_match_independent_recompute(self, scores_csv, tmp_path):
         # oracle: rebuild every cell AUC from the raw CSVs with a direct
         # pair-count, bypassing the report code
@@ -492,7 +509,8 @@ class TestFeatureCacheKey:
             clip_ids.append([e.meta.clip_id for e in entries])
             features = extract_features(entries, root, config, tmp_path / f"work_{seed}")
             for entry in entries:
-                fresh = dsp.log_mel(dsp.read_wav_mono(root / entry.path))
+                path = root / entry.path
+                fresh = dsp.log_mel(dsp.read_wav_mono(path.read_bytes(), path))
                 np.testing.assert_array_equal(features[entry.meta.clip_id],
                                               fresh.astype(np.float32))
         assert clip_ids[0] == clip_ids[1]
@@ -677,14 +695,14 @@ class TestFeatureShapeCheck:
         entries = _absolute_paths(read_manifest(manifest), corpus_root)
         split = "train" if command == "train" else "test"
         victim = [e for e in entries if e.meta.split == split][-1]  # in the last chunk
-        wave = dsp.read_wav_mono(victim.path)
+        samples = dsp.read_wav_mono(Path(victim.path).read_bytes(), victim.path)
         longer = tmp_path / "longer.wav"
-        dsp.write_wav_mono(longer, np.tile(wave.samples, 2), wave.sample_rate_hz)
+        dsp.write_wav_mono(longer, np.tile(samples, 2))
         mixed = tmp_path / "mixed" / "manifest.csv"
         mixed.parent.mkdir()
         write_manifest([replace(e, path=str(longer)) if e is victim else e for e in entries],
                        mixed)
-        monkeypatch.setattr(model, "_CHUNK_PIXELS", dsp.log_mel(wave).size)  # 1-clip chunks
+        monkeypatch.setattr(model, "_CHUNK_PIXELS", dsp.log_mel(samples).size)  # 1-clip chunks
         forwards = []
         real = model._forward
         monkeypatch.setattr(model, "_forward", lambda *a, **k: forwards.append(1) or real(*a, **k))
@@ -721,6 +739,26 @@ class TestCorpusReadErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and victim.path in err
+        assert not checkpoint.exists()
+
+    def test_train_with_a_clip_at_another_rate_is_one_line_error_naming_it(
+            self, corpus_copy, tmp_path, tiny_config_path, capsys):
+        corpus, entries = corpus_copy
+        victim = [e for e in entries if e.meta.split == "train"][-1]
+        path = corpus / victim.path
+        samples = dsp.read_wav_mono(path.read_bytes(), path)
+        with wave_module.open(str(path), "wb") as handle:  # the same PCM, labelled 8 kHz
+            handle.setnchannels(1)
+            handle.setsampwidth(2)
+            handle.setframerate(8000)
+            handle.writeframes(np.round(samples * 32768.0).astype("<i2").tobytes())
+        checkpoint = tmp_path / "model.hmic"
+        code = run_cli("train", "--corpus", corpus, "--out", checkpoint,
+                       "--config", tiny_config_path, "--workdir", tmp_path / "work")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}: sampled at 8000 Hz" in err
         assert not checkpoint.exists()
 
     def test_score_with_a_non_wav_clip_is_one_line_error(self, trained, corpus_copy, tmp_path,
@@ -892,11 +930,11 @@ class TestNonFiniteEmbedding:
         poisoned = []
 
         def first_row_nan(params, x):
-            pair = real(params, x)
+            embeddings = real(params, x)
             if not poisoned:
-                pair.feat_high[0] = np.nan
+                embeddings[0] = np.nan
                 poisoned.append(1)
-            return pair
+            return embeddings
 
         monkeypatch.setattr(pipeline, "forward_features", first_row_nan)
         monkeypatch.delenv("HMIC_CACHE_DIR", raising=False)  # cache the NaN row in tmp_path
@@ -1003,6 +1041,28 @@ class TestPipelineCommand:
         assert (workdir / "scores_agc.csv").exists()
         report = json.loads((workdir / "report_agc.json").read_text())
         assert report["total"]["combined"] > 0
+
+    @pytest.mark.parametrize("existing", ["same_spec", "other_seed", "no_spec_echo"])
+    def test_an_existing_corpus_is_reused_only_under_its_own_spec(
+            self, tmp_path, tiny_config_path, capsys, existing):
+        workdir = tmp_path / "run"
+        generate(make_tiny_spec(seed=5), workdir / "corpus")
+        if existing == "no_spec_echo":
+            (workdir / "corpus" / "synth_spec.json").unlink()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(make_tiny_spec(seed=6 if existing == "other_seed"
+                                                         else 5)))
+        code = run_cli("pipeline", "--workdir", workdir, "--spec", spec_path,
+                       "--config", tiny_config_path)
+        err = capsys.readouterr().err
+        if existing == "same_spec":
+            assert code == 0 and err == ""
+            assert (workdir / "model.hmic").exists()
+        else:
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "holds a corpus of another synth spec" in err
+            assert not (workdir / "model.hmic").exists()
 
     def test_agc_and_dc_argmin_columns_differ(self, tmp_path, tiny_config_path, trained):
         corpus_root, manifest, checkpoint, _ = trained

@@ -24,13 +24,7 @@ from hmic.datagen import (
     spec_to_json,
     synthesize_clip,
 )
-from hmic.dsp import (
-    SAMPLE_RATE_HZ,
-    Waveform,
-    log_mel,
-    mel_centres_hz,
-    read_wav_mono,
-)
+from hmic.dsp import SAMPLE_RATE_HZ, log_mel, mel_centres_hz, read_wav_mono
 from hmic.metadata import build_label_space, parse_dcase_filename, read_manifest
 
 TINY_COUNTS = ClipCounts(
@@ -194,9 +188,7 @@ class TestSynthesize:
             for p in plan_corpus(spec)
             if p.meta.condition == "normal" and dict(p.meta.attributes)["spd"] == "A"
         )
-        samples = synthesize_clip(spec, plan)
-        wave = Waveform(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)
-        values = log_mel(wave)
+        values = log_mel(synthesize_clip(spec, plan))
         centres = mel_centres_hz()
         expected_bin = int(np.argmin(np.abs(centres - plan.tone_freqs_hz[0])))
         peak_bins = values.argmax(axis=0)
@@ -232,9 +224,9 @@ class TestGenerate:
         spec = tiny_spec()
         manifest = generate(spec, tmp_path / "corpus")
         entry = read_manifest(manifest)[0]
-        wave = read_wav_mono(tmp_path / "corpus" / entry.path)
-        assert wave.sample_rate_hz == SAMPLE_RATE_HZ
-        assert wave.samples.size == int(spec.clip_seconds * SAMPLE_RATE_HZ)
+        path = tmp_path / "corpus" / entry.path
+        samples = read_wav_mono(path.read_bytes(), path)  # refuses another rate
+        assert samples.size == int(spec.clip_seconds * SAMPLE_RATE_HZ)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

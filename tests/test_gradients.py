@@ -1,5 +1,7 @@
 """Finite-difference validation of the hand-written backward pass."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,31 +21,31 @@ def batch():
     return x, labels_id, labels_ag
 
 
-def fresh_params(seed=11):
-    return init_params(MICRO, 2, 3, np.random.default_rng(seed))
+def fresh_params(seed=11, weight=0.5):
+    return init_params(replace(MICRO, id_loss_weight=weight), 2, 3, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("weight", [0.5, 1.0, 0.0])
 def test_all_parameter_gradients_match_finite_differences(batch, weight):
     x, labels_id, labels_ag = batch
-    worst = gradient_check(fresh_params(), x, labels_id, labels_ag, weight, eps=1e-5)
+    worst = gradient_check(fresh_params(weight=weight), x, labels_id, labels_ag, eps=1e-5)
     assert worst < 1e-4
 
 
 @pytest.mark.parametrize("weight", [0.5, 1.0, 0.0])
 def test_gradients_across_chunks_match_finite_differences(batch, weight, micro_chunks):
     x, labels_id, labels_ag = batch
-    worst = gradient_check(fresh_params(), x, labels_id, labels_ag, weight, eps=1e-5)
+    worst = gradient_check(fresh_params(weight=weight), x, labels_id, labels_ag, eps=1e-5)
     assert worst < 1e-4
 
 
 @pytest.mark.parametrize("weight", [0.5, 1.0, 0.0])
 def test_gradients_across_chunks_match_one_chunk(batch, weight, micro_chunks, monkeypatch):
     x, labels_id, labels_ag = batch
-    params = fresh_params()
-    _, chunked = loss_and_grads(params, x, labels_id, labels_ag, weight)
+    params = fresh_params(weight=weight)
+    _, chunked = loss_and_grads(params, x, labels_id, labels_ag)
     monkeypatch.setattr(model, "_CHUNK_PIXELS", x.size)
-    _, whole = loss_and_grads(params, x, labels_id, labels_ag, weight)
+    _, whole = loss_and_grads(params, x, labels_id, labels_ag)
     assert chunked.keys() == whole.keys()
     for name, grad in whole.items():
         scale = max(np.linalg.norm(grad), np.finfo(float).tiny)
@@ -52,11 +54,10 @@ def test_gradients_across_chunks_match_one_chunk(batch, weight, micro_chunks, mo
 
 def test_gradients_are_linear_in_the_loss_weight(batch):
     x, labels_id, labels_ag = batch
-    params = fresh_params()
-    _, at_one = loss_and_grads(params, x, labels_id, labels_ag, 1.0)
-    _, at_zero = loss_and_grads(params, x, labels_id, labels_ag, 0.0)
+    _, at_one = loss_and_grads(fresh_params(weight=1.0), x, labels_id, labels_ag)
+    _, at_zero = loss_and_grads(fresh_params(weight=0.0), x, labels_id, labels_ag)
     for weight in (0.25, 0.5, 0.9):
-        _, mixed = loss_and_grads(params, x, labels_id, labels_ag, weight)
+        _, mixed = loss_and_grads(fresh_params(weight=weight), x, labels_id, labels_ag)
         for name in mixed:
             combined = weight * at_one[name] + (1.0 - weight) * at_zero[name]
             np.testing.assert_allclose(mixed[name], combined, rtol=1e-9, atol=1e-14)
@@ -64,9 +65,8 @@ def test_gradients_are_linear_in_the_loss_weight(batch):
 
 def test_loss_is_linear_in_the_weight(batch):
     x, labels_id, labels_ag = batch
-    params = fresh_params()
     for weight in (0.0, 0.3, 0.7, 1.0):
-        breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag, weight)
+        breakdown, _ = loss_and_grads(fresh_params(weight=weight), x, labels_id, labels_ag)
         assert breakdown.loss_total == pytest.approx(
             weight * breakdown.loss_id + (1.0 - weight) * breakdown.loss_ag, abs=0
         )
@@ -74,9 +74,8 @@ def test_loss_is_linear_in_the_weight(batch):
 
 def test_loss_across_chunks_is_linear_in_the_weight(batch, micro_chunks):
     x, labels_id, labels_ag = batch
-    params = fresh_params()
     for weight in (0.0, 0.3, 0.7, 1.0):
-        breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag, weight)
+        breakdown, _ = loss_and_grads(fresh_params(weight=weight), x, labels_id, labels_ag)
         assert breakdown.loss_total == (
             weight * breakdown.loss_id + (1.0 - weight) * breakdown.loss_ag
         )
@@ -87,7 +86,7 @@ def test_gradient_check_refuses_float32_parameters(batch):
     # would read a meaningless error instead of failing.
     x, labels_id, labels_ag = batch
     with pytest.raises(TrainingError, match="needs float64 parameters, conv1.w is float32"):
-        gradient_check(fresh_params().astype(NET_DTYPE), x, labels_id, labels_ag, 0.5)
+        gradient_check(fresh_params().astype(NET_DTYPE), x, labels_id, labels_ag)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -99,8 +98,8 @@ def test_float32_step_matches_the_float64_step_of_the_same_params(seed):
     params = init_params(ModelConfig(), 6, 12, rng).astype(NET_DTYPE)
     x = rng.normal(size=(32, 1, 128, 63)).astype(NET_DTYPE)
     labels = np.arange(32)
-    low, low_grads = loss_and_grads(params, x, labels % 6, labels % 12, 0.5)
-    high, high_grads = loss_and_grads(params.astype(np.float64), x, labels % 6, labels % 12, 0.5)
+    low, low_grads = loss_and_grads(params, x, labels % 6, labels % 12)
+    high, high_grads = loss_and_grads(params.astype(np.float64), x, labels % 6, labels % 12)
     assert low.loss_total == pytest.approx(high.loss_total, rel=1e-6)
     for name, grad in high_grads.items():
         assert low_grads[name].dtype == NET_DTYPE

@@ -264,6 +264,22 @@ class TestAssignLabels:
         restored = from_dict(LabelSpace, json.loads(json.dumps(to_dict(self.space))))
         assert restored == self.space
 
+    @pytest.mark.parametrize("field,keys", [
+        ("sections", [1, 0, 1]),
+        ("sections", [0, 0]),
+        ("groups", [[1, []], [0, []]]),
+        ("groups", [[0, [["a", "x"]]], [0, [["a", "x"]]]]),
+        ("groups", [[0, [["a", "y"]]], [0, [["a", "x"]]]]),
+    ], ids=["unsorted_sections", "repeated_section", "unsorted_sections_of_groups",
+            "repeated_group", "unsorted_attributes_of_groups"])
+    def test_keys_that_are_not_strictly_increasing_are_refused(self, field, keys):
+        # build_label_space never gives them, and assign_labels would hand out
+        # labels it never would
+        data = {"machine_type": "gizmo", "sections": [0, 1], "groups": [[0, []], [1, []]],
+                field: keys}
+        with pytest.raises(LabelSpaceError, match=f"gizmo: {field} must be strictly increasing"):
+            from_dict(LabelSpace, data)
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,21 +11,28 @@ from hypothesis.extra import numpy as hnp
 from hmic import nn
 from hmic.model import (
     NET_DTYPE,
-    FeaturePair,
+    LossBreakdown,
     ModelConfig,
     ModelError,
     forward_features,
     init_params,
-    loss,
     loss_and_grads,
 )
 
 MICRO = ModelConfig(channels=(2, 3, 4), head_channels=4)
 
 
-def micro_params(seed=0, n_sections=2, n_groups=3):
+def micro_params(seed=0, n_sections=2, n_groups=3, weight=0.5):
+    """Micro-config parameters whose loss weighs the section-ID head by ``weight``."""
     rng = np.random.default_rng(seed)
-    return init_params(MICRO, n_sections, n_groups, rng)
+    return init_params(replace(MICRO, id_loss_weight=weight), n_sections, n_groups, rng)
+
+
+def mixed_loss(logits_id, logits_ag, labels_id, labels_ag, weight):
+    """The loss breakdown of the two heads' logits: the formula, written out."""
+    loss_id, _ = nn.softmax_cross_entropy(logits_id, labels_id)
+    loss_ag, _ = nn.softmax_cross_entropy(logits_ag, labels_ag)
+    return LossBreakdown(loss_id, loss_ag, weight * loss_id + (1.0 - weight) * loss_ag)
 
 
 def conv2d_oracle(x, w, b):
@@ -195,34 +202,33 @@ class TestPrimitives:
 class TestForwardFeatures:
     def test_deterministic(self):
         params = micro_params()
-        x = np.random.default_rng(1).normal(size=(8, 8))
-        first = forward_features(params, x)
-        second = forward_features(params, x)
-        np.testing.assert_array_equal(first.feat_low, second.feat_low)
-        np.testing.assert_array_equal(first.feat_high, second.feat_high)
+        x = np.random.default_rng(1).normal(size=(1, 1, 8, 8))
+        np.testing.assert_array_equal(forward_features(params, x), forward_features(params, x))
 
     def test_all_zero_params_give_zero_features(self):
         params = micro_params()
         for tensor in params.tensors.values():
             tensor[...] = 0.0
-        x = np.random.default_rng(2).normal(size=(8, 8))
-        pair = forward_features(params, x)
-        assert np.all(pair.feat_low == 0.0)
-        assert np.all(pair.feat_high == 0.0)
+        x = np.random.default_rng(2).normal(size=(1, 1, 8, 8))
+        assert np.all(forward_features(params, x) == 0.0)
 
     def test_feature_dims_follow_config(self):
         params = micro_params()
-        pair = forward_features(params, np.zeros((3, 1, 16, 10)))
-        assert pair.feat_low.shape == (3, 4)
-        assert pair.feat_high.shape == (3, 4)
+        assert forward_features(params, np.zeros((3, 1, 16, 10))).shape == (3, 4)
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ModelError, match="too small"):
-            forward_features(micro_params(), np.zeros((4, 4)))
+            forward_features(micro_params(), np.zeros((1, 1, 4, 4)))
 
     def test_multichannel_input_rejected(self):
         with pytest.raises(ModelError):
             forward_features(micro_params(), np.zeros((1, 2, 8, 8)))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8), (2, 1, 1, 8, 8)])
+    def test_input_that_is_not_a_batch_is_rejected(self, shape):
+        for run in (forward_features, lambda p, x: loss_and_grads(p, x, [0], [0])):
+            with pytest.raises(ModelError, match=r"expected \(B, 1, H, W\) input"):
+                run(micro_params(), np.zeros(shape))
 
     @settings(max_examples=25, deadline=None)
     @example(n_clips=30, n_frames=70, seed=0)  # chunks of 11, 11 and 8 clips
@@ -250,18 +256,14 @@ class TestForwardFeatures:
     @staticmethod
     def _assert_stack_equals_per_clip(params, x, exact=True):
         stacked = forward_features(params, x)
-        clips = [forward_features(params, clip[0]) for clip in x]
-        for name in ("feat_low", "feat_high"):
-            expected = np.concatenate([getattr(c, name) for c in clips])
-            if exact:
-                np.testing.assert_array_equal(getattr(stacked, name), expected)
-            else:
-                np.testing.assert_allclose(getattr(stacked, name), expected,
-                                           rtol=1e-12, atol=1e-15)
+        expected = np.concatenate([forward_features(params, x[i:i + 1]) for i in range(len(x))])
+        if exact:
+            np.testing.assert_array_equal(stacked, expected)
+        else:
+            np.testing.assert_allclose(stacked, expected, rtol=1e-12, atol=1e-15)
 
     def test_empty_stack_gives_empty_features(self):
-        pair = forward_features(micro_params(), np.zeros((0, 1, 16, 16)))
-        assert pair.feat_low.shape == (0, 4) and pair.feat_high.shape == (0, 4)
+        assert forward_features(micro_params(), np.zeros((0, 1, 16, 16))).shape == (0, 4)
 
     @staticmethod
     def _forward_peak(dtype):
@@ -288,11 +290,11 @@ class TestForwardFeatures:
         assert peak < 30e6, f"peak {peak / 1e6:.0f} MB"
 
 
-def head_logits(params, pair):
+def head_logits(params, feat_low, feat_high):
     """Both heads' logits, as loss_and_grads computes them."""
     t = params.tensors
-    logits_id, _ = nn.linear(pair.feat_low, t["cls_id.w"], t["cls_id.b"])
-    logits_ag, _ = nn.linear(pair.feat_high, t["cls_ag.w"], t["cls_ag.b"])
+    logits_id, _ = nn.linear(feat_low, t["cls_id.w"], t["cls_id.b"])
+    logits_ag, _ = nn.linear(feat_high, t["cls_ag.w"], t["cls_ag.b"])
     return logits_id, logits_ag
 
 
@@ -301,8 +303,7 @@ class TestClassify:
         params = micro_params()
         params.tensors["cls_id.b"][...] = 0.0
         params.tensors["cls_ag.b"][...] = 0.0
-        pair = FeaturePair(feat_low=np.zeros((2, 4)), feat_high=np.zeros((2, 4)))
-        logits_id, logits_ag = head_logits(params, pair)
+        logits_id, logits_ag = head_logits(params, np.zeros((2, 4)), np.zeros((2, 4)))
         assert np.all(logits_id == 0.0)
         assert np.all(logits_ag == 0.0)
 
@@ -311,39 +312,45 @@ class TestClassify:
         params.tensors["cls_id.w"][...] = np.eye(4)
         params.tensors["cls_id.b"][...] = 0.0
         feat = np.array([[0.5, -1.0, 2.0, 0.0]])
-        logits_id, _ = head_logits(params, FeaturePair(feat_low=feat, feat_high=feat))
+        logits_id, _ = head_logits(params, feat, feat)
         np.testing.assert_array_equal(logits_id, feat)
 
     def test_matches_loop_matmul_oracle(self):
         rng = np.random.default_rng(3)
         params = micro_params()
-        pair = FeaturePair(feat_low=rng.normal(size=(3, 4)), feat_high=rng.normal(size=(3, 4)))
-        logits_id, logits_ag = head_logits(params, pair)
+        feat_low = rng.normal(size=(3, 4))
+        logits_id, logits_ag = head_logits(params, feat_low, rng.normal(size=(3, 4)))
         w, b = params.tensors["cls_id.w"], params.tensors["cls_id.b"]
         expected = np.empty((3, 2))
         for n in range(3):
             for k in range(2):
-                expected[n, k] = sum(pair.feat_low[n, d] * w[k, d] for d in range(4)) + b[k]
+                expected[n, k] = sum(feat_low[n, d] * w[k, d] for d in range(4)) + b[k]
         np.testing.assert_allclose(logits_id, expected, rtol=1e-12)
         assert logits_ag.shape == (3, 3)
 
 
+def zero_head_params(n_sections, n_groups):
+    """Micro parameters whose classifier weights and biases are zero, so both
+    heads give uniform logits."""
+    params = micro_params(n_sections=n_sections, n_groups=n_groups)
+    for name in ("cls_id.w", "cls_id.b", "cls_ag.w", "cls_ag.b"):
+        params.tensors[name][...] = 0.0
+    return params
+
+
 class TestLoss:
     def test_uniform_logits_give_log_k(self):
-        logits_id = np.zeros((5, 4))
-        logits_ag = np.zeros((5, 7))
-        result = loss(logits_id, logits_ag, np.zeros(5, int), np.zeros(5, int), 0.5)
+        x = np.random.default_rng(4).normal(size=(5, 1, 8, 8))
+        result, _ = loss_and_grads(zero_head_params(4, 7), x, np.zeros(5, int), np.zeros(5, int))
         assert abs(result.loss_id - math.log(4)) < 1e-12
         assert abs(result.loss_ag - math.log(7)) < 1e-12
 
     def test_endpoint_weights(self):
-        rng = np.random.default_rng(4)
-        logits_id = rng.normal(size=(3, 2))
-        logits_ag = rng.normal(size=(3, 5))
+        x = np.random.default_rng(4).normal(size=(3, 1, 8, 8))
         labels_id = np.array([0, 1, 0])
         labels_ag = np.array([4, 2, 0])
-        at_one = loss(logits_id, logits_ag, labels_id, labels_ag, 1.0)
-        at_zero = loss(logits_id, logits_ag, labels_id, labels_ag, 0.0)
+        at_one, _ = loss_and_grads(micro_params(n_groups=5, weight=1.0), x, labels_id, labels_ag)
+        at_zero, _ = loss_and_grads(micro_params(n_groups=5, weight=0.0), x, labels_id, labels_ag)
         assert at_one.loss_total == at_one.loss_id
         assert at_zero.loss_total == at_zero.loss_ag
 
@@ -354,10 +361,9 @@ class TestLoss:
         assert abs(value - math.log(1.0 + 2.0 * math.exp(-2.0))) < 1e-12
 
     def test_breakdown_identity_holds_exactly(self):
-        rng = np.random.default_rng(5)
-        logits_id = rng.normal(size=(2, 3))
-        logits_ag = rng.normal(size=(2, 4))
-        result = loss(logits_id, logits_ag, np.array([0, 2]), np.array([1, 3]), 0.3)
+        x = np.random.default_rng(5).normal(size=(2, 1, 8, 8))
+        params = micro_params(n_sections=3, n_groups=4, weight=0.3)
+        result, _ = loss_and_grads(params, x, np.array([0, 2]), np.array([1, 3]))
         assert result.loss_total == 0.3 * result.loss_id + 0.7 * result.loss_ag
 
     @settings(max_examples=40, deadline=None)
@@ -367,21 +373,20 @@ class TestLoss:
     )
     def test_total_between_component_losses(self, weight, seed):
         rng = np.random.default_rng(seed)
-        logits_id = rng.normal(size=(4, 3))
-        logits_ag = rng.normal(size=(4, 5))
+        x = rng.normal(size=(4, 1, 8, 8))
         labels_id = rng.integers(0, 3, 4)
         labels_ag = rng.integers(0, 5, 4)
-        result = loss(logits_id, logits_ag, labels_id, labels_ag, weight)
+        params = micro_params(seed, n_sections=3, n_groups=5, weight=weight)
+        result, _ = loss_and_grads(params, x, labels_id, labels_ag)
         lo = min(result.loss_id, result.loss_ag)
         hi = max(result.loss_id, result.loss_ag)
         assert lo - 1e-12 <= result.loss_total <= hi + 1e-12
 
     def test_weight_out_of_range_rejected(self):
-        with pytest.raises(ModelError):
-            loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0]), np.array([0]), 1.2)
-        x = np.zeros((1, 1, 8, 8))
-        with pytest.raises(ModelError):
-            loss_and_grads(micro_params(), x, np.array([0]), np.array([0]), -0.1)
+        # loss_and_grads reads the weight from a config, which refuses it
+        for weight in (1.2, -0.1):
+            with pytest.raises(ModelError, match="id_loss_weight must be in"):
+                micro_params(weight=weight)
 
     @staticmethod
     def _breakdown_and_cross_entropy_inputs(x, weight, monkeypatch):
@@ -395,8 +400,8 @@ class TestLoss:
             return real(logits, labels)
 
         monkeypatch.setattr(nn, "softmax_cross_entropy", recording)
-        breakdown, _ = loss_and_grads(micro_params(), x, np.array([0, 1, 1]),
-                                      np.array([2, 0, 1]), weight)
+        breakdown, _ = loss_and_grads(micro_params(weight=weight), x, np.array([0, 1, 1]),
+                                      np.array([2, 0, 1]))
         return breakdown, seen
 
     @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
@@ -405,7 +410,7 @@ class TestLoss:
         breakdown, seen = self._breakdown_and_cross_entropy_inputs(x, weight, monkeypatch)
         assert len(seen) == 2  # one cross-entropy per head
         (logits_id, labels_id), (logits_ag, labels_ag) = seen
-        assert breakdown == loss(logits_id, logits_ag, labels_id, labels_ag, weight)
+        assert breakdown == mixed_loss(logits_id, logits_ag, labels_id, labels_ag, weight)
 
     @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
     def test_chunked_breakdown_is_loss_of_its_concatenated_logits(self, weight, micro_chunks,
@@ -415,14 +420,14 @@ class TestLoss:
         assert len(seen) == 2 * math.ceil(3 / micro_chunks)  # both heads, every chunk
         logits_id, labels_id = (np.concatenate(parts) for parts in zip(*seen[0::2]))
         logits_ag, labels_ag = (np.concatenate(parts) for parts in zip(*seen[1::2]))
-        whole = loss(logits_id, logits_ag, labels_id, labels_ag, weight)
+        whole = mixed_loss(logits_id, logits_ag, labels_id, labels_ag, weight)
         for got, want in zip(astuple(breakdown), astuple(whole)):
             assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ModelError, match="empty"):
             loss_and_grads(micro_params(), np.zeros((0, 1, 8, 10)), np.array([], int),
-                           np.array([], int), 0.5)
+                           np.array([], int))
 
     @pytest.mark.parametrize("head", ["id", "ag"])
     @pytest.mark.parametrize("n_labels", [6, 3, (4, 1)], ids=["6", "3", "4x1"])
@@ -433,32 +438,30 @@ class TestLoss:
         misfit = np.zeros(n_labels, int)
         labels = (misfit, fitting) if head == "id" else (fitting, misfit)
         with pytest.raises(ModelError, match="label shapes"):
-            loss_and_grads(micro_params(), x, *labels, 0.5)
+            loss_and_grads(micro_params(), x, *labels)
 
 
 class TestAblationWeights:
     def test_endpoint_weight_silences_other_head(self):
-        params = micro_params()
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 1, 8, 8))
         labels_id = np.array([0, 1])
         labels_ag = np.array([0, 2])
-        _, grads_domain = loss_and_grads(params, x, labels_id, labels_ag, 1.0)
+        _, grads_domain = loss_and_grads(micro_params(weight=1.0), x, labels_id, labels_ag)
         assert np.all(grads_domain["cls_ag.w"] == 0.0)
         assert np.all(grads_domain["head.w"] == 0.0)
-        _, grads_attr = loss_and_grads(params, x, labels_id, labels_ag, 0.0)
+        _, grads_attr = loss_and_grads(micro_params(weight=0.0), x, labels_id, labels_ag)
         assert np.all(grads_attr["cls_id.w"] == 0.0)
         assert np.any(grads_attr["conv1.w"] != 0.0)  # backbone still learns
 
     def test_endpoint_weight_silences_other_head_across_chunks(self, micro_chunks):
-        params = micro_params()
         x = np.random.default_rng(6).normal(size=(3, 1, 8, 10))
         labels_id = np.array([0, 1, 1])
         labels_ag = np.array([0, 2, 1])
-        _, grads_domain = loss_and_grads(params, x, labels_id, labels_ag, 1.0)
+        _, grads_domain = loss_and_grads(micro_params(weight=1.0), x, labels_id, labels_ag)
         for name in ("cls_ag.w", "cls_ag.b", "head.w", "head.b", "head.g"):
             assert np.all(grads_domain[name] == 0.0), name
-        _, grads_attr = loss_and_grads(params, x, labels_id, labels_ag, 0.0)
+        _, grads_attr = loss_and_grads(micro_params(weight=0.0), x, labels_id, labels_ag)
         for name in ("cls_id.w", "cls_id.b"):
             assert np.all(grads_attr[name] == 0.0), name
         assert np.any(grads_attr["conv1.w"] != 0.0)
@@ -475,7 +478,7 @@ class TestBackward:
 
         monkeypatch.setattr(nn, "conv2d_backward", recording)
         x = np.random.default_rng(8).normal(size=(2, 1, 8, 8))
-        loss_and_grads(micro_params(), x, np.array([0, 1]), np.array([0, 2]), 0.5)
+        loss_and_grads(micro_params(), x, np.array([0, 1]), np.array([0, 2]))
         assert sorted(calls) == [(1, False), (2, True), (3, True), (4, True)]
 
     def test_backward_gradients_reach_each_layer_channel_major(self, monkeypatch):
@@ -495,7 +498,7 @@ class TestBackward:
         for name in ("conv2d_backward", "channel_scale_backward", "relu_backward"):
             recording(name)
         x = np.random.default_rng(8).normal(size=(3, 1, 16, 12))
-        loss_and_grads(micro_params(), x, np.array([0, 1, 1]), np.array([0, 2, 1]), 0.5)
+        loss_and_grads(micro_params(), x, np.array([0, 1, 1]), np.array([0, 2, 1]))
         assert len(seen) == 12
         assert [entry for entry in seen if not entry[2]] == []
 
@@ -507,7 +510,7 @@ class TestBackward:
         labels = np.arange(32)
         tracemalloc.start()
         try:
-            loss_and_grads(params, x, labels % 6, labels % 12, 0.5)
+            loss_and_grads(params, x, labels % 6, labels % 12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

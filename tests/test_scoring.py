@@ -24,8 +24,21 @@ from hmic.scoring import (
 )
 
 
-def fit_simple(feats, labels, sections, **kwargs):
-    return fit_agc(np.asarray(feats, float), np.asarray(labels), np.asarray(sections), **kwargs)
+def shrunk_by(model, eps):
+    """``model`` with every group's shrinkage set to ``eps``, rebuilt from its
+    tensors the way a checkpoint's centres are."""
+    tensors = centre_model_to_tensors(model, "m")
+    for name, value in tensors.items():
+        if name.endswith("/stats"):
+            value[1] = eps
+    return centre_model_from_tensors(tensors, "m", model.kind)
+
+
+def fit_simple(feats, labels, sections, shrinkage=None):
+    """Attribute-group centres of the rows; with the fitted shrinkage, or
+    ``shrinkage`` for every group when it is given."""
+    model = fit_agc(np.asarray(feats, float), np.asarray(labels), np.asarray(sections))
+    return model if shrinkage is None else shrunk_by(model, shrinkage)
 
 
 def score_one(probe, model, section=0, score=score_agc):
@@ -203,7 +216,7 @@ class TestScoreAgc:
     def test_non_finite_embedding_rejected(self, kind, bad):
         labels = np.array(["source", "target"]) if kind == "dc" else np.array([0, 1])
         fit, score = (fit_dc, score_dc) if kind == "dc" else (fit_agc, score_agc)
-        model = fit(np.eye(2), labels, np.zeros(2, int), shrinkage=1e-2)
+        model = shrunk_by(fit(np.eye(2), labels, np.zeros(2, int)), 1e-2)
         assert errors_of_one([0.0, bad], model, score=score) == {0: "non-finite embedding"}
 
     def test_distance_overflow_rejected(self):
@@ -323,7 +336,7 @@ class TestScoreDc:
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(8, 3))
         sections = np.zeros(8, int)
-        dc = fit_dc(feats, np.array(["source"] * 8), sections, shrinkage=1e-3)
+        dc = shrunk_by(fit_dc(feats, np.array(["source"] * 8), sections), 1e-3)
         agc = fit_simple(feats, np.zeros(8, int), sections, shrinkage=1e-3)
         probe = rng.normal(size=3)
         assert score_one(probe, dc, score=score_dc)[0] == pytest.approx(score_one(probe, agc)[0])
@@ -331,12 +344,12 @@ class TestScoreDc:
     def test_nearer_domain_wins(self):
         feats = np.array([[0.0, 0.0], [0.4, 0.0], [6.0, 6.0], [6.4, 6.0]])
         domains = np.array(["source", "source", "target", "target"])
-        dc = fit_dc(feats, domains, np.zeros(4, int), shrinkage=1e-2)
+        dc = shrunk_by(fit_dc(feats, domains, np.zeros(4, int)), 1e-2)
         assert score_one([6.1, 6.0], dc, score=score_dc)[1] == 1  # target index
 
     def test_identical_domains_tie_to_source(self):
         feats = np.array([[1.0, 1.0], [1.0, 1.0]])
-        dc = fit_dc(feats, np.array(["source", "target"]), np.zeros(2, int), shrinkage=1e-2)
+        dc = shrunk_by(fit_dc(feats, np.array(["source", "target"]), np.zeros(2, int)), 1e-2)
         assert score_one([0.0, 0.0], dc, score=score_dc)[1] == 0
 
     def test_unknown_domain_rejected(self):

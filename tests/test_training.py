@@ -11,7 +11,8 @@ MICRO = ModelConfig(channels=(2, 3, 4), head_channels=4)
 
 
 def separable_corpus(n_per_class=10, seed=0):
-    """Two classes with energy in the top vs bottom half of the patch."""
+    """Two classes with energy in the top vs bottom half of the patch; the
+    patches come as an (N, 1, 8, 8) batch."""
     rng = np.random.default_rng(seed)
     matrices, labels = [], []
     for cls in (0, 1):
@@ -21,7 +22,7 @@ def separable_corpus(n_per_class=10, seed=0):
                 m[:4, :] += 1.0
             else:
                 m[4:, :] += 1.0
-            matrices.append(m)
+            matrices.append(m[None])
             labels.append(cls)
     return np.array(matrices), np.array(labels)
 
@@ -72,7 +73,7 @@ class TestTrain:
         params, _ = train(matrices, labels, labels, 2, 2, MICRO,
                           TrainConfig(epochs=2, batch_size=4, seed=4))
         assert {value.dtype for value in params.tensors.values()} == {np.dtype(np.float32)}
-        _, grads = loss_and_grads(params, matrices, labels, labels, 0.5)
+        _, grads = loss_and_grads(params, matrices, labels, labels)
         assert grads.keys() == params.tensors.keys()
         assert {grad.dtype for grad in grads.values()} == {np.dtype(np.float32)}
 
@@ -112,9 +113,14 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_before_the_update(self):
         matrices, labels = separable_corpus(n_per_class=4)
-        matrices[5, 2, 3] = np.nan
+        matrices[5, 0, 2, 3] = np.nan
         with pytest.raises(TrainingError, match="epoch 0, batch 0"):
             train(matrices, labels, labels, 2, 2, MICRO, TrainConfig(epochs=2, batch_size=8))
+
+    @pytest.mark.parametrize("shape", [(4, 8, 8), (4, 2, 8, 8)])
+    def test_features_that_are_not_a_clip_batch_are_rejected(self, shape):
+        with pytest.raises(TrainingError, match=r"expected \(N, 1, H, W\) features"):
+            train(np.zeros(shape), np.zeros(4, int), np.zeros(4, int), 1, 1, MICRO)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
