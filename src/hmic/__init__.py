@@ -8,16 +8,10 @@ minimum Mahalanobis distance to attribute-group centres.
 from .config import RunConfig
 from .dsp import log_mel
 from .evaluation import EvalReport, ScoredClip, auc, build_report, harmonic_total
-from .metadata import (
-    ClipMeta,
-    LabelSpace,
-    assign_labels,
-    build_label_space,
-    parse_dcase_filename,
-)
+from .metadata import ClipMeta, LabelSpace, assign_labels, build_label_space
 from .model import LossBreakdown, ModelConfig, ModelParams, forward_features
 from .scoring import CentreModel, fit_agc, fit_dc, mahalanobis, score_agc, score_dc
-from .training import TrainConfig, gradient_check, train
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -39,11 +33,9 @@ __all__ = [
     "fit_agc",
     "fit_dc",
     "forward_features",
-    "gradient_check",
     "harmonic_total",
     "log_mel",
     "mahalanobis",
-    "parse_dcase_filename",
     "score_agc",
     "score_dc",
     "train",

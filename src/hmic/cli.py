@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_run_config, save_run_config
-from .datagen import PRESETS, generate, load_spec
+from .datagen import PRESETS, SynthSpec, generate, load_spec
 from .errors import HmicError
 from .pipeline import run_eval, run_pipeline, run_score, run_train
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="run config JSON")
-    parser.add_argument("--seed", type=int, help="override the training seed")
+    parser.add_argument("--seed", type=int,
+                        help="override the training seed (pipeline: the spec's seed too)")
     parser.add_argument("--jobs", type=int, help="parallel feature-extraction workers")
     parser.add_argument("--scoring", choices=("agc", "dc"), help="scoring mode")
     parser.add_argument("--pauc-p", type=float, help="partial-AUC false-positive-rate cap")
@@ -75,16 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args) -> int:
-    if args.spec:
-        spec = load_spec(args.spec)
-        if args.seed is not None:
-            from dataclasses import replace
+def _load_spec(args) -> SynthSpec:
+    """``--spec`` if given, else the ``--preset`` at its own seed; ``--seed``
+    replaces the spec's seed either way, so ``generate`` and ``pipeline``
+    build one corpus from one set of flags."""
+    spec = load_spec(args.spec) if args.spec else PRESETS[args.preset]()
+    return spec if args.seed is None else replace(spec, seed=args.seed)
 
-            spec = replace(spec, seed=args.seed)
-    else:
-        spec = PRESETS[args.preset](args.seed if args.seed is not None else 2022)
-    manifest = generate(spec, args.out)
+
+def _cmd_generate(args) -> int:
+    manifest = generate(_load_spec(args), args.out)
     print(f"wrote corpus with manifest {manifest}")
     return 0
 
@@ -121,9 +123,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
-    spec = load_spec(args.spec) if args.spec else PRESETS[args.preset](
-        args.seed if args.seed is not None else 2022
-    )
+    spec = _load_spec(args)
     if args.save_config:
         save_run_config(config, args.save_config)
     report, paths = run_pipeline(config, args.workdir, spec)

@@ -41,10 +41,6 @@ def hz_to_mel(f_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
 
 
-def mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
-
-
 def stft_power(samples: np.ndarray) -> np.ndarray:
     """Power spectrogram of 1-D audio, shape (FRAME_SIZE/2 + 1, n_frames), hop
     FRAME_SIZE/2.
@@ -67,11 +63,6 @@ def stft_power(samples: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(power)
 
 
-def _mel_grid() -> np.ndarray:
-    """N_MELS + 2 points evenly spaced on the mel scale from F_MIN_HZ to F_MAX_HZ."""
-    return np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), N_MELS + 2)
-
-
 @lru_cache(maxsize=1)
 def mel_filterbank() -> np.ndarray:
     """Triangular filterbank, linear on the mel scale; shape (N_MELS, FRAME_SIZE/2 + 1).
@@ -79,18 +70,13 @@ def mel_filterbank() -> np.ndarray:
     Filters are unnormalized triangles with unit peak on a uniform mel grid.
     """
     n_fft_bins = FRAME_SIZE // 2 + 1
-    grid = _mel_grid()
+    grid = np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), N_MELS + 2)
     spacing = (grid[-1] - grid[0]) / (N_MELS + 1)
     bin_mels = hz_to_mel(np.arange(n_fft_bins) * (SAMPLE_RATE_HZ / 2.0) / (n_fft_bins - 1))
     weights = 1.0 - np.abs(bin_mels[None, :] - grid[1:-1, None]) / spacing
     bank = np.maximum(weights, 0.0)
     bank.flags.writeable = False  # the cache hands this one array to every caller
     return bank
-
-
-def mel_centres_hz() -> np.ndarray:
-    """Centre frequency of each mel filter, in Hz."""
-    return mel_to_hz(_mel_grid()[1:-1])
 
 
 def log_mel(samples: np.ndarray) -> np.ndarray:

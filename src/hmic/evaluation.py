@@ -10,7 +10,6 @@ harmonic means over report cells.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .checkpoint import to_dict
 from .errors import HmicError
+from .metadata import write_csv_rows
 
 
 class UndefinedMetricError(HmicError, ValueError):
@@ -217,11 +217,7 @@ def build_report(
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
     """Flat export: one row per cell plus total rows."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["machine_type", "section", "domain", "auc", "pauc"])
-        for cell in report.cells:
-            writer.writerow(
-                [cell.machine_type, cell.section, cell.domain, f"{cell.auc:.6f}", f"{cell.pauc:.6f}"]
-            )
-        writer.writerow(["total", "", "", f"{report.total_auc:.6f}", f"{report.total_pauc:.6f}"])
+    rows = [[c.machine_type, c.section, c.domain, f"{c.auc:.6f}", f"{c.pauc:.6f}"]
+            for c in report.cells]
+    rows.append(["total", "", "", f"{report.total_auc:.6f}", f"{report.total_pauc:.6f}"])
+    write_csv_rows(path, ("machine_type", "section", "domain", "auc", "pauc"), rows)

@@ -30,10 +30,6 @@ MANIFEST_COLUMNS = (
 )
 
 
-class FilenameParseError(HmicError, ValueError):
-    """A clip filename does not follow the DCASE-style naming convention."""
-
-
 class LabelSpaceError(HmicError, ValueError):
     """A label space cannot be built from the given clips."""
 
@@ -120,57 +116,6 @@ class LabelSpace:
         return len(self.groups)
 
 
-def parse_dcase_filename(filename: str, machine_type: str = "unknown") -> ClipMeta:
-    """Parse ``section_<SS>_<domain>_<split>_<condition>_<idx>_<name>_<value>_... .wav``.
-
-    Attribute tokens must come in name/value pairs; the parsed attribute pairs are
-    canonically sorted, so token order in the filename is irrelevant.
-    """
-    name = Path(filename).name
-    if not name.endswith(".wav"):
-        raise FilenameParseError(f"expected a .wav filename, got {name!r}")
-    stem = name[: -len(".wav")]
-    tokens = stem.split("_")
-    if len(tokens) < 6:
-        raise FilenameParseError(f"too few tokens in {name!r}")
-    if tokens[0] != "section":
-        raise FilenameParseError(f"expected leading 'section', got {tokens[0]!r}")
-    if not tokens[1].isdigit():
-        raise FilenameParseError(f"bad section token {tokens[1]!r} in {name!r}")
-    section_id = int(tokens[1])
-    domain, split, condition, idx = tokens[2], tokens[3], tokens[4], tokens[5]
-    if domain not in DOMAINS:
-        raise FilenameParseError(f"bad domain token {domain!r} in {name!r}")
-    if split not in SPLITS:
-        raise FilenameParseError(f"bad split token {split!r} in {name!r}")
-    condition = {"anomaly": "anomalous"}.get(condition, condition)
-    if condition not in CONDITIONS:
-        raise FilenameParseError(f"bad condition token {tokens[4]!r} in {name!r}")
-    if not idx.isdigit():
-        raise FilenameParseError(f"bad index token {idx!r} in {name!r}")
-    attr_tokens = tokens[6:]
-    if len(attr_tokens) % 2 != 0:
-        raise FilenameParseError(
-            f"odd attribute token count in {name!r}: trailing {attr_tokens[-1]!r}"
-        )
-    for tok in attr_tokens:
-        if not tok:
-            raise FilenameParseError(f"empty attribute token in {name!r}")
-    pairs = tuple(zip(attr_tokens[0::2], attr_tokens[1::2]))
-    try:
-        return ClipMeta(
-            clip_id=stem,
-            machine_type=machine_type,
-            section_id=section_id,
-            domain=domain,
-            split=split,
-            condition=condition,
-            attributes=pairs,
-        )
-    except ValueError as exc:
-        raise FilenameParseError(f"{name!r}: {exc}") from exc
-
-
 def build_label_space(clips: list[ClipMeta], machine_type: str) -> LabelSpace:
     """Assign contiguous section and attribute-group labels for one machine type.
 
@@ -242,24 +187,21 @@ class ManifestEntry:
 
 
 def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    rows = []
+    for entry in entries:
+        m = entry.meta
+        rows.append([m.clip_id, entry.path, m.machine_type, m.section_id, m.domain,
+                     m.split, m.condition, format_attributes(m.attributes)])
+    write_csv_rows(path, MANIFEST_COLUMNS, rows)
+
+
+def write_csv_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
+    """Write the header ``columns`` and then ``rows`` as a UTF-8 CSV
+    (``csv.writer`` defaults, so CRLF line endings)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(MANIFEST_COLUMNS)
-        for entry in entries:
-            m = entry.meta
-            writer.writerow(
-                [
-                    m.clip_id,
-                    entry.path,
-                    m.machine_type,
-                    m.section_id,
-                    m.domain,
-                    m.split,
-                    m.condition,
-                    format_attributes(m.attributes),
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def read_csv_rows(

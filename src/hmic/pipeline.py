@@ -24,7 +24,6 @@ clips of a machine the checkpoint lacks are never read.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import os
@@ -37,10 +36,11 @@ import numpy as np
 from . import dsp, scoring
 from .checkpoint import load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
+from .datagen import SynthSpec, generate, spec_to_json
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import (ManifestEntry, assign_labels, build_label_space, read_csv_rows,
-                       read_manifest)
+                       read_manifest, write_csv_rows)
 from .model import (NET_DTYPE, ModelConfig, ModelParams, _chunks, forward_features,
                     init_params)
 from .training import train, write_training_log
@@ -329,12 +329,9 @@ def run_score(
                 scored[entry.meta.clip_id] = f"{scores[i]:.12g}", int(argmins[i])
 
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    with out_csv.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SCORE_COLUMNS)
-        for entry in test_entries:
-            writer.writerow([entry.meta.clip_id, entry.meta.section_id,
-                             *scored.get(entry.meta.clip_id, ("", ""))])
+    write_csv_rows(out_csv, SCORE_COLUMNS, (
+        [e.meta.clip_id, e.meta.section_id, *scored.get(e.meta.clip_id, ("", ""))]
+        for e in test_entries))
     return ScoreOutcome(rows=len(test_entries), errors=tuple(errors))
 
 
@@ -406,16 +403,13 @@ def run_eval(
 def run_pipeline(
     config: RunConfig,
     workdir: str | Path,
-    spec=None,
+    spec: SynthSpec,
 ) -> tuple[EvalReport, dict[str, Path]]:
     """generate (if needed) -> train -> score -> eval under one working directory.
 
     A corpus already in the workdir is reused only when its ``synth_spec.json``
     is the one ``spec`` writes; another corpus there is a PipelineError before
     anything is trained."""
-    from .datagen import default_spec, generate, spec_to_json
-
-    spec = spec if spec is not None else default_spec()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     corpus_dir = workdir / "corpus"

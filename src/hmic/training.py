@@ -1,11 +1,10 @@
-"""Seeded training loop (Adam + cosine learning-rate annealing) and gradient checking.
+"""Seeded training loop: Adam with cosine learning-rate annealing.
 
 Training runs in ``NET_DTYPE`` (float32): the weights, Adam's moments and
 every array of a step. Only scalars (the learning rate, the losses and their
 epoch sums) are float64.
 Everything runs single-threaded over the optimizer state, so two runs with the
-same seed and config produce bitwise-identical parameters. ``gradient_check``
-needs float64 parameters, as ``init_params`` draws them.
+same seed and config produce bitwise-identical parameters.
 """
 
 from __future__ import annotations
@@ -152,44 +151,3 @@ def write_training_log(path, log: list[EpochStats]) -> None:
                 f"{row.loss_total:.12g},{row.lr:.12g}\n"
             )
 
-
-def gradient_check(
-    params: ModelParams,
-    x: np.ndarray,
-    labels_id: np.ndarray,
-    labels_ag: np.ndarray,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central finite-difference
-    gradients of the loss ``loss_and_grads`` takes of the (B, 1, H, W) batch
-    ``x``, weighted by ``params.config.id_loss_weight``.
-
-    Perturbs every element of every parameter tensor, so keep this to
-    micro-configurations. The tensors must be float64: a step of ``eps`` is
-    below float32's resolution near 1.
-    """
-    for name, tensor in params.tensors.items():
-        if tensor.dtype != np.float64:
-            raise TrainingError(f"gradient_check needs float64 parameters, "
-                                f"{name} is {tensor.dtype}")
-
-    def total_loss() -> float:
-        breakdown, _ = loss_and_grads(params, x, labels_id, labels_ag)
-        return breakdown.loss_total
-
-    _, analytic = loss_and_grads(params, x, labels_id, labels_ag)
-    worst = 0.0
-    for name, tensor in params.tensors.items():
-        flat = tensor.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            up = total_loss()
-            flat[i] = original - eps
-            down = total_loss()
-            flat[i] = original
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(grad_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(grad_flat[i] - numeric) / denom)
-    return worst

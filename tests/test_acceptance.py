@@ -19,13 +19,13 @@ from hmic.config import RunConfig
 from hmic.datagen import default_spec, shifted_spec
 from hmic.dsp import log_mel
 from hmic.evaluation import auc_from_scores, harmonic_total, pauc_from_scores
-from hmic.metadata import build_label_space, parse_dcase_filename
+from hmic.metadata import build_label_space
 from hmic.model import ModelConfig, init_params, loss_and_grads
 from hmic.pipeline import run_eval, run_pipeline, run_score
 from hmic.scoring import _factor, fit_agc, mahalanobis, score_agc
-from hmic.training import gradient_check
 
 from conftest import make_tiny_config, make_tiny_spec
+from oracles import gradient_check, parse_dcase_filename
 
 DATA = Path(__file__).parent / "data"
 

@@ -1064,6 +1064,22 @@ class TestPipelineCommand:
             assert "holds a corpus of another synth spec" in err
             assert not (workdir / "model.hmic").exists()
 
+    def test_seed_means_the_corpus_seed_in_generate_and_pipeline_alike(
+            self, tmp_path, tiny_config_path, capsys):
+        workdir = tmp_path / "run"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(make_tiny_spec(seed=5)))
+        assert run_cli("generate", "--spec", spec_path, "--seed", "9",
+                       "--out", workdir / "corpus") == 0
+        manifest = workdir / "corpus" / "manifest.csv"
+        written = manifest.stat().st_mtime_ns
+        code = run_cli("pipeline", "--workdir", workdir, "--spec", spec_path, "--seed", "9",
+                       "--config", tiny_config_path)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert manifest.stat().st_mtime_ns == written  # reused, not regenerated
+        assert load_spec(workdir / "corpus" / "synth_spec.json").seed == 9
+        assert (workdir / "report_agc.json").exists()
+
     def test_agc_and_dc_argmin_columns_differ(self, tmp_path, tiny_config_path, trained):
         corpus_root, manifest, checkpoint, _ = trained
         agc_csv = tmp_path / "agc.csv"
@@ -1103,7 +1119,7 @@ class TestErrors:
                 ):
                     found.append(value)
                     assert name.endswith("Error") and issubclass(value, HmicError), name
-        assert len(found) >= 15  # HmicError and the 14 errors built on it
+        assert len(found) >= 14  # HmicError and the 13 errors built on it
 
     def test_undecodable_checkpoint_config_is_one_line_error(self, trained, tmp_path,
                                                              tiny_config_path, capsys):

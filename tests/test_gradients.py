@@ -7,7 +7,9 @@ import pytest
 
 from hmic import model
 from hmic.model import NET_DTYPE, ModelConfig, init_params, loss_and_grads
-from hmic.training import TrainingError, gradient_check
+from hmic.training import TrainingError
+
+from oracles import gradient_check
 
 MICRO = ModelConfig(channels=(2, 3, 4), head_channels=4)
 

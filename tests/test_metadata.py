@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hmic.checkpoint import from_dict, to_dict
 from hmic.metadata import (
     ClipMeta,
-    FilenameParseError,
     LabelSpace,
     LabelSpaceError,
     ManifestEntry,
@@ -15,10 +14,11 @@ from hmic.metadata import (
     UnknownLabelError,
     assign_labels,
     build_label_space,
-    parse_dcase_filename,
     read_manifest,
     write_manifest,
 )
+
+from oracles import FilenameParseError, parse_dcase_filename
 
 
 def make_clip(section=0, attrs=(), clip_id="c", machine="gizmo", split="train",

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import hmic
 
 
@@ -12,3 +15,39 @@ def test_star_import_binds_every_export():
     exec("from hmic import *", namespace)
     assert {name: namespace[name] for name in hmic.__all__} == {
         name: getattr(hmic, name) for name in hmic.__all__}
+
+
+def _references(path: Path) -> list[tuple[int, str]]:
+    """(top-level statement index, name) of every name, attribute and import
+    the module at ``path`` refers to."""
+    found = []
+    for index, statement in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                found.append((index, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.append((index, node.attr))
+            elif isinstance(node, ast.alias):
+                found.append((index, node.name.rsplit(".", 1)[-1]))
+    return found
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # A public function in src/hmic is referred to from the package (outside
+    # __init__.py's re-exports and its own body), scripts/ or bench/; one only
+    # tests call belongs in tests/.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted(p for p in (root / "src" / "hmic").glob("*.py") if p.name != "__init__.py")
+    others = sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    callers: dict[str, set[tuple[Path, int]]] = {}
+    for path in package + others:
+        for index, name in _references(path):
+            callers.setdefault(name, set()).add((path, index))
+    uncalled = [
+        f"{path.stem}.{statement.name}"
+        for path in package
+        for index, statement in enumerate(ast.parse(path.read_text(encoding="utf-8")).body)
+        if isinstance(statement, ast.FunctionDef) and not statement.name.startswith("_")
+        and not callers.get(statement.name, set()) - {(path, index)}
+    ]
+    assert uncalled == []
