@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_run_config, save_run_config
+from .config import SCORING_MODES, RunConfig, load_run_config, save_run_config
 from .datagen import PRESETS, SynthSpec, generate, load_spec
 from .errors import HmicError
 from .pipeline import run_eval, run_pipeline, run_score, run_train
@@ -18,8 +18,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int,
                         help="override the training seed (pipeline: the spec's seed too)")
     parser.add_argument("--jobs", type=int, help="parallel feature-extraction workers")
-    parser.add_argument("--scoring", choices=("agc", "dc"), help="scoring mode")
-    parser.add_argument("--pauc-p", type=float, help="partial-AUC false-positive-rate cap")
 
 
 def _load_config(args) -> RunConfig:
@@ -56,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--manifest", type=Path, required=True)
     p_score.add_argument("--out", type=Path, required=True, help="scores CSV path")
     _add_common(p_score)
+    p_score.add_argument("--scoring", choices=SCORING_MODES, help="scoring mode")
 
     p_eval = sub.add_parser("eval", help="compute AUC/pAUC report from scores")
     p_eval.add_argument("--scores", type=Path, required=True)
@@ -73,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--preset", choices=sorted(PRESETS), default="default")
     p_pipe.add_argument("--save-config", type=Path, help="write the effective config JSON")
     _add_common(p_pipe)
+    p_pipe.add_argument("--scoring", choices=SCORING_MODES, help="scoring mode")
+    p_pipe.add_argument("--pauc-p", type=float, help="partial-AUC false-positive-rate cap")
 
     return parser
 
@@ -112,7 +113,7 @@ def _cmd_score(args) -> int:
 def _cmd_eval(args) -> int:
     config = load_run_config(args.config) if args.config else RunConfig()
     report = run_eval(args.scores, args.manifest, args.out, args.csv,
-                      config.with_overrides(pauc_p=args.pauc_p).pauc_p,
+                      pauc_p=config.with_overrides(pauc_p=args.pauc_p).pauc_p,
                       config_digest=config.semantic_digest() if args.config else None)
     print(
         f"total AUC {report.total_auc:.4f}  pAUC {report.total_pauc:.4f}  "

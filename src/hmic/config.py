@@ -5,8 +5,9 @@ content (model, training, seed); the scoring mode, the pAUC fraction and the
 worker count are score/eval-time knobs and excluded, so one checkpoint serves
 both scoring variants. The single-head ablations are the endpoints 1.0
 (domain_only) and 0.0 (attribute_only) of ``model.id_loss_weight``. The front
-end, the Adam and schedule constants and the centre shrinkage are fixed
-conventions of ``dsp``, ``training`` and ``scoring``, not settings.
+end, the centre shrinkage and ``training``'s ``BATCH_SIZE``, Adam constants and
+cosine schedule (``LR_MAX`` to ``LR_MIN``) are fixed conventions, not settings;
+so is the source-domain noise floor, ``datagen.NOISE_AMP_SOURCE``.
 """
 
 from __future__ import annotations

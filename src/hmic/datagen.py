@@ -29,6 +29,7 @@ from .metadata import ClipMeta, ManifestEntry, ManifestError, format_attributes,
 
 TONE_AMP = 0.07  # nominal amplitude of each tone, before its per-clip 0.85-1.15 gain
 AM_DEPTH = 0.5  # depth of the section's slow amplitude modulation
+NOISE_AMP_SOURCE = 0.004  # the source domain's noise floor; the spec sets the target's
 _BURST_LEN = int(0.004 * SAMPLE_RATE_HZ)  # samples in one 4 ms anomaly click
 MAX_CLIP_SECONDS = 60.0  # 6x the paper's clips; rendering one holds ~31 MB of float64
 
@@ -94,7 +95,6 @@ class SynthSpec:
     machines: tuple[MachineSpec, ...]
     clip_seconds: float = 2.0
     tone_jitter_cents: float = 0.0  # per-clip natural detune on every clip
-    noise_amp_source: float = 0.004
     noise_amp_target: float = 0.010
     anomaly: AnomalySpec = field(default_factory=AnomalySpec)
     seed: int = 2022
@@ -288,7 +288,7 @@ def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
     scratch += 1.0
     scratch /= 1.0 + AM_DEPTH
     signal *= scratch
-    noise_amp = spec.noise_amp_source if plan.meta.domain == "source" else spec.noise_amp_target
+    noise_amp = NOISE_AMP_SOURCE if plan.meta.domain == "source" else spec.noise_amp_target
     rng.standard_normal(n, out=scratch)
     scratch *= noise_amp
     signal += scratch
@@ -303,7 +303,7 @@ def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
     if peak > 0.99:
         raise SynthSpecError(
             f"{plan.meta.clip_id}: rendered peak {peak:.3f} too close to full scale; "
-            f"lower click_amp or the noise amplitudes, or use fewer tones"
+            f"lower click_amp or noise_amp_target, or use fewer tones"
         )
     return signal
 

@@ -91,7 +91,7 @@ def auc(clips) -> float:
     return auc_from_scores(normal, anomalous)
 
 
-def pauc_from_scores(normal: np.ndarray, anomalous: np.ndarray, p: float = 0.1) -> float:
+def pauc_from_scores(normal: np.ndarray, anomalous: np.ndarray, p: float) -> float:
     """AUC restricted to false-positive rate [0, p], normalized by p."""
     if not 0.0 < p <= 1.0:
         raise UndefinedMetricError(f"p must be in (0, 1], got {p}")
@@ -156,7 +156,7 @@ class EvalReport:
 
 
 def build_report(
-    clips: list[ScoredClip], pauc_p: float = 0.1, config_digest: str | None = None
+    clips: list[ScoredClip], pauc_p: float, config_digest: str | None = None
 ) -> EvalReport:
     """Per-(machine, section, domain) AUC/pAUC cells plus harmonic-mean totals.
 

@@ -187,6 +187,10 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     for machine in machines:
         if "/" in machine:
             raise PipelineError(f"machine type {machine!r} must not contain '/'")
+    for e in train_entries:  # fit_dc needs each clip's domain centre
+        if e.meta.domain not in scoring.DOMAIN_INDEX:
+            raise PipelineError(f"training clip {e.meta.clip_id!r} has domain "
+                                f"{e.meta.domain!r}; it must be source or target")
 
     features = extract_features(train_entries, corpus_dir, config, workdir)
     tensors: dict[str, np.ndarray] = {}
@@ -362,7 +366,8 @@ def run_eval(
     manifest_path: str | Path,
     out_json: str | Path | None = None,
     out_csv: str | Path | None = None,
-    pauc_p: float = 0.1,
+    *,
+    pauc_p: float,
     config_digest: str | None = None,
 ) -> EvalReport:
     """Join scores with manifest truth and build the AUC/pAUC report."""
@@ -428,10 +433,8 @@ def run_pipeline(
                             + "; ".join(outcome.errors[:5]))
     report_json = workdir / f"report_{config.scoring_mode}.json"
     report_csv = workdir / f"report_{config.scoring_mode}.csv"
-    report = run_eval(
-        scores_csv, manifest, report_json, report_csv, config.pauc_p,
-        config_digest=config.semantic_digest(),
-    )
+    report = run_eval(scores_csv, manifest, report_json, report_csv, pauc_p=config.pauc_p,
+                      config_digest=config.semantic_digest())
     return report, {
         "corpus": corpus_dir,
         "checkpoint": checkpoint_path,

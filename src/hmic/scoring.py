@@ -105,7 +105,7 @@ def fit_dc(feats: np.ndarray, domains: np.ndarray, sections: np.ndarray) -> Cent
     try:
         labels = np.array([DOMAIN_INDEX[d] for d in domains])
     except KeyError as exc:
-        raise ScoringError(f"unknown domain {exc.args[0]!r}") from None
+        raise ScoringError(f"unknown domain {str(exc.args[0])!r}") from None
     return _fit(feats, labels, sections, "dc")
 
 

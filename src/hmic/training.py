@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HmicError
+from .metadata import write_csv_rows
 from .model import NET_DTYPE, ModelConfig, ModelParams, init_params, loss_and_grads
 
 
@@ -21,7 +22,9 @@ class TrainingError(HmicError, ValueError):
     pass
 
 
-LR_MIN = 1e-6  # the cosine schedule's last-epoch learning rate
+BATCH_SIZE = 32
+LR_MAX = 1e-4  # the cosine schedule's first-epoch learning rate
+LR_MIN = 1e-6  # and its last-epoch one
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -30,14 +33,11 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 1e-4
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise TrainingError(f"epochs {self.epochs} and batch_size {self.batch_size} "
-                                "must be >= 1")
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,15 @@ class EpochStats:
     lr: float
 
 
-def cosine_lr(epoch: int, total_epochs: int, lr_max: float, lr_min: float) -> float:
-    """Anneal from lr_max (first epoch) to lr_min (last epoch).
+def cosine_lr(epoch: int, total_epochs: int) -> float:
+    """Anneal from LR_MAX (first epoch) to LR_MIN (last epoch).
 
     A Python float: an ``np.float64`` would promote every float32 Adam update
     to a float64 temporary under NumPy 2's promotion rules."""
     if total_epochs <= 1:
-        return lr_max
+        return LR_MAX
     t = epoch / (total_epochs - 1)
-    return float(lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * t)))
+    return float(LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + np.cos(np.pi * t)))
 
 
 class AdamState:
@@ -87,8 +87,8 @@ def train(
     labels_ag: np.ndarray,
     n_sections: int,
     n_groups: int,
-    model_config: ModelConfig = ModelConfig(),
-    train_config: TrainConfig = TrainConfig(),
+    model_config: ModelConfig,
+    train_config: TrainConfig,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Train on normal clips only; returns final params and the per-epoch log.
 
@@ -118,11 +118,11 @@ def train(
 
     log: list[EpochStats] = []
     for epoch in range(train_config.epochs):
-        lr = cosine_lr(epoch, train_config.epochs, train_config.learning_rate, LR_MIN)
+        lr = cosine_lr(epoch, train_config.epochs)
         order = batch_rng.permutation(n_clips)
         sums = np.zeros(3)
-        for batch, start in enumerate(range(0, n_clips, train_config.batch_size)):
-            idx = order[start : start + train_config.batch_size]
+        for batch, start in enumerate(range(0, n_clips, BATCH_SIZE)):
+            idx = order[start : start + BATCH_SIZE]
             breakdown, grads = loss_and_grads(params, features[idx], labels_id[idx],
                                               labels_ag[idx])
             if not np.isfinite(breakdown.loss_total):
@@ -143,11 +143,7 @@ def train(
 
 
 def write_training_log(path, log: list[EpochStats]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("epoch,loss_id,loss_ag,loss_total,lr\n")
-        for row in log:
-            handle.write(
-                f"{row.epoch},{row.loss_id:.12g},{row.loss_ag:.12g},"
-                f"{row.loss_total:.12g},{row.lr:.12g}\n"
-            )
+    write_csv_rows(path, ("epoch", "loss_id", "loss_ag", "loss_total", "lr"), (
+        [row.epoch, *(f"{v:.12g}" for v in (row.loss_id, row.loss_ag, row.loss_total, row.lr))]
+        for row in log))
 

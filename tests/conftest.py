@@ -66,7 +66,7 @@ def make_tiny_spec(seed=7):
 def make_tiny_config(seed=7):
     return RunConfig(
         model=ModelConfig(channels=(4, 8, 16), head_channels=16),
-        train=TrainConfig(epochs=4, batch_size=8, seed=seed),
+        train=TrainConfig(epochs=4, seed=seed),
     )
 
 

@@ -143,11 +143,13 @@ class TestGenerate:
         ("anomaly.detune_attr", None),
         ("anomaly.ghost_attr", None),
         ("anomaly.ghost_amp", 0.0),
+        ("noise_amp_source", 0.004),
     ])
     def test_a_removed_spec_key_is_refused_by_name(self, tmp_path, capsys, dotted_key, value):
         # the corpus always renders at the front end's rate with fixed tone
-        # amplitude and AM depth, and an anomaly detunes every tone: an echo
-        # written before those settings went names the key to delete
+        # amplitude, AM depth and source noise floor, and an anomaly detunes
+        # every tone: an echo written before those settings went names the key
+        # to delete
         data = json.loads(spec_to_json(make_tiny_spec()))
         *parents, key = dotted_key.split(".")
         node = data
@@ -186,7 +188,7 @@ class TestTrain:
         assert code == 2
 
     @pytest.mark.parametrize("section,field,value", [
-        ("train", "batch_size", 0),
+        ("train", "batch_size", 0),  # removed, as are the settings from shrinkage_rel on
         ("train", "batch_size", -8),
         ("train", "epochs", -1),
         ("model", "channels", [0, 8, 16]),
@@ -199,6 +201,8 @@ class TestTrain:
         ("model", "id_loss_weight_by_machine", {"gizmo": 1.0}),
         (None, "dsp", {"n_mels": 64}),
         ("train", "beta1", 0.9),
+        ("train", "batch_size", 32),
+        ("train", "learning_rate", 1e-4),
     ])
     def test_out_of_range_config_fails_before_training(self, tiny_corpus, tmp_path, capsys,
                                                        section, field, value):
@@ -213,6 +217,39 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert not workdir.exists()
+
+    def test_a_train_clip_of_unknown_domain_is_refused_before_training(
+            self, tiny_corpus, tmp_path, tiny_config_path, capsys, log_mel_calls):
+        corpus_root, manifest = tiny_corpus
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
+        victim = next(e for e in entries if e.meta.split == "train")
+        (tmp_path / "corpus").mkdir()
+        write_manifest([replace(e, meta=replace(e.meta, domain="unknown")) if e is victim else e
+                        for e in entries], tmp_path / "corpus" / "manifest.csv")
+        workdir = tmp_path / "run"
+        code = run_cli("train", "--corpus", tmp_path / "corpus", "--out", workdir / "model.hmic",
+                       "--workdir", workdir, "--config", tiny_config_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(victim.meta.clip_id) in err and "'unknown'" in err
+        assert log_mel_calls == [] and list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--scoring", "dc"),
+        ("train", "--pauc-p", "0.2"),
+        ("score", "--pauc-p", "0.2"),
+    ])
+    def test_a_flag_the_command_does_not_read_is_refused(self, tmp_path, capsys, command,
+                                                          flag, value):
+        paths = {"train": ["--corpus", tmp_path, "--out", tmp_path / "m.hmic"],
+                 "score": ["--checkpoint", tmp_path / "m.hmic", "--manifest",
+                           tmp_path / "manifest.csv", "--out", tmp_path / "scores.csv"]}
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, *paths[command], flag, value)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScore:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmic import datagen
 from hmic.checkpoint import from_dict, to_dict
 from hmic.datagen import (
     AnomalySpec,
@@ -59,7 +60,6 @@ def tiny_spec(seed=7, noise=0.003, sections=1):
     return SynthSpec(
         machines=(MachineSpec(name="gizmo", sections=section_specs),),
         clip_seconds=0.5,
-        noise_amp_source=noise,
         noise_amp_target=2 * noise,
         seed=seed,
     )
@@ -182,8 +182,9 @@ class TestSynthesize:
         anomalous = next(p for p in plans if p.meta.condition == "anomalous")
         assert not np.array_equal(synthesize_clip(spec, normal), synthesize_clip(spec, anomalous))
 
-    def test_tone_lands_on_expected_mel_bin(self):
+    def test_tone_lands_on_expected_mel_bin(self, monkeypatch):
         # near-zero noise: the spectral peak must sit on the tone's mel bin
+        monkeypatch.setattr(datagen, "NOISE_AMP_SOURCE", 1e-6)
         spec = tiny_spec(noise=1e-6)
         plan = next(
             p
@@ -256,7 +257,6 @@ synth_specs = st.builds(
     ).map(tuple),
     clip_seconds=finite,
     tone_jitter_cents=finite,
-    noise_amp_source=finite,
     noise_amp_target=finite,
     anomaly=st.builds(
         AnomalySpec,
@@ -287,9 +287,10 @@ class TestSpecSerialization:
     @pytest.mark.parametrize(
         "preset, sha256",
         [
-            (default_spec, "c82adda4050e6f93168ea3dc1559eb99e0929238bf827e0721b6be5fd6e91f2d"),
-            (shifted_spec, "65483e4c1fc3ddc2f93372dcee1d305acaa3a3d747b3a4216afef9f6f9b2cad4"),
+            (default_spec, "3fe3a312729a43347bd8f0f98c8b45f37fae8d1efaa5fdcc9275675027308884"),
+            (shifted_spec, "9738126a43d5ee218b6f2f0d76cf5230a9e92c9dda79355ba37bb245e3a56999"),
         ],
+        ids=["default", "shifted"],
     )
     def test_preset_json_is_pinned(self, preset, sha256):
         assert hashlib.sha256(spec_to_json(preset(2022)).encode("utf-8")).hexdigest() == sha256

@@ -195,7 +195,7 @@ class TestBuildReport:
 
     def test_section_aucs_pool_domains(self):
         clips = self.make_clips()
-        report = build_report(clips)
+        report = build_report(clips, pauc_p=0.1)
         own = [c for c in clips if c.machine_type == "gizmo" and c.section == 0]
         expected = auc(own)
         got = [s for s in report.section_aucs if (s.machine_type, s.section) == ("gizmo", 0)]
@@ -204,10 +204,10 @@ class TestBuildReport:
     def test_single_class_cell_is_error(self):
         clips = [clip(1.0, "normal"), clip(2.0, "anomalous", section=1)]
         with pytest.raises(UndefinedMetricError):
-            build_report(clips)
+            build_report(clips, pauc_p=0.1)
 
     def test_json_and_csv_outputs(self, tmp_path):
-        report = build_report(self.make_clips())
+        report = build_report(self.make_clips(), pauc_p=0.1)
         data = report.to_dict()
         assert {"cells", "machines", "total", "section_auc", "pauc_p"} <= set(data)
         assert len(data["cells"]) == 8

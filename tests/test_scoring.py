@@ -353,7 +353,7 @@ class TestScoreDc:
         assert score_one([0.0, 0.0], dc, score=score_dc)[1] == 0
 
     def test_unknown_domain_rejected(self):
-        with pytest.raises(ScoringError, match="domain"):
+        with pytest.raises(ScoringError, match=r"^unknown domain 'sideways'$"):
             fit_dc(np.zeros((1, 2)), np.array(["sideways"]), np.zeros(1, int))
 
 
