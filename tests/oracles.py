@@ -1,9 +1,10 @@
 """Reference implementations the tests check the package against.
 
 None of these is on the pipeline's path: the finite-difference gradient
-oracle, the mel-grid centres written straight from the HTK formula, and a
-parser for DCASE-style clip filenames (the package reads clip identity from
-``manifest.csv``, never from a name).
+oracle, the mel-grid centres written straight from the HTK formula, the
+dense front end the blocked ``dsp.stft_power`` and banded ``dsp.log_mel``
+must reproduce, and a parser for DCASE-style clip filenames (the package
+reads clip identity from ``manifest.csv``, never from a name).
 """
 
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hmic.dsp import FLOOR_EPSILON, FRAME_SIZE, mel_filterbank
 from hmic.errors import HmicError
 from hmic.metadata import CONDITIONS, DOMAINS, SPLITS, ClipMeta
 from hmic.model import ModelParams, loss_and_grads
@@ -65,6 +67,25 @@ def analytic_centres(n_mels, f_min, f_max):
     hi = 2595.0 * math.log10(1.0 + f_max / 700.0)
     grid = np.linspace(lo, hi, n_mels + 2)[1:-1]
     return 700.0 * (10.0 ** (grid / 2595.0) - 1.0)
+
+
+def dense_stft_power(samples):
+    """Power spectrogram, (FRAME_SIZE/2 + 1, n_frames): the whole signal
+    zero-padded to ceil(len/hop) full frames, windowed, one rfft of every
+    frame, then re^2 + im^2."""
+    hop = FRAME_SIZE // 2
+    n_frames = -(-samples.size // hop)
+    padded = np.zeros((n_frames - 1) * hop + FRAME_SIZE)
+    padded[: samples.size] = samples
+    frames = np.lib.stride_tricks.sliding_window_view(padded, FRAME_SIZE)[::hop]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_SIZE) / FRAME_SIZE)
+    spectrum = np.fft.rfft(frames * window, axis=1)
+    return np.ascontiguousarray((spectrum.real**2 + spectrum.imag**2).T)
+
+
+def dense_log_mel(samples):
+    """log(max(bank @ power, floor)) with the whole (N_MELS, 513) filterbank."""
+    return np.log(np.maximum(mel_filterbank() @ dense_stft_power(samples), FLOOR_EPSILON))
 
 
 class FilenameParseError(HmicError, ValueError):

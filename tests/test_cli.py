@@ -798,6 +798,23 @@ class TestCorpusReadErrors:
         assert f"{path}: sampled at 8000 Hz" in err
         assert not checkpoint.exists()
 
+    def test_train_with_a_clip_of_no_samples_is_one_line_error_naming_it(
+            self, corpus_copy, tmp_path, tiny_config_path, capsys):
+        corpus, entries = corpus_copy
+        victim = next(e for e in entries if e.meta.split == "train")
+        path = corpus / victim.path
+        with wave_module.open(str(path), "wb") as handle:  # a valid header, 0 frames
+            handle.setnchannels(1)
+            handle.setsampwidth(2)
+            handle.setframerate(dsp.SAMPLE_RATE_HZ)
+        checkpoint = tmp_path / "model.hmic"
+        code = run_cli("train", "--corpus", corpus, "--out", checkpoint,
+                       "--config", tiny_config_path, "--workdir", tmp_path / "work")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: WAV holds no samples\n"
+        assert not checkpoint.exists()
+
     def test_score_with_a_non_wav_clip_is_one_line_error(self, trained, corpus_copy, tmp_path,
                                                          tiny_config_path, capsys):
         checkpoint = trained[2]

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import wave as wave_module
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmic import dsp
 from hmic.dsp import (
     SAMPLE_RATE_HZ,
     DspError,
@@ -20,8 +22,9 @@ from hmic.dsp import (
     stft_power,
     write_wav_mono,
 )
+from hmic.metadata import read_manifest
 
-from oracles import analytic_centres
+from oracles import analytic_centres, dense_log_mel, dense_stft_power
 
 SR = SAMPLE_RATE_HZ
 
@@ -125,6 +128,67 @@ class TestLogMel:
         assert spectrogram.shape[1] == -(-length // 512)
 
 
+# Around one and two frames and one hop, a few hops, and 2 s and 10 s clips.
+EDGE_LENGTHS = [1, 100, 511, 512, 513, 1023, 1024, 1025, 1536, 2047, 2048, 2049, 5000,
+                32000, 160000]
+
+
+def noise(length, seed=0):
+    return np.random.default_rng(seed).normal(scale=0.05, size=length)
+
+
+def assert_cached_log_mel_matches_dense(samples):
+    np.testing.assert_array_equal(log_mel(samples).astype(np.float32),
+                                  dense_log_mel(samples).astype(np.float32))
+
+
+class TestDenseOracle:
+    """The blocked STFT and the banded mel product against the dense formula:
+    the power bit for bit, and the float32 log-Mel the cache stores bit for bit."""
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_edge_lengths_match_bit_for_bit(self, length):
+        samples = noise(length)
+        np.testing.assert_array_equal(stft_power(samples), dense_stft_power(samples))
+        assert_cached_log_mel_matches_dense(samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=2**32))
+    def test_any_length_matches_bit_for_bit(self, length, seed):
+        samples = noise(length, seed)
+        np.testing.assert_array_equal(stft_power(samples), dense_stft_power(samples))
+        assert_cached_log_mel_matches_dense(samples)
+
+    def test_every_tiny_corpus_clip_matches_bit_for_bit(self, tiny_corpus):
+        root, manifest = tiny_corpus
+        for entry in read_manifest(manifest):
+            path = root / entry.path
+            assert_cached_log_mel_matches_dense(read_wav_mono(path.read_bytes(), path))
+
+    def test_bands_hold_every_filterbank_weight_once(self):
+        bank = mel_filterbank()
+        rebuilt = np.zeros_like(bank)
+        for rows, bins, block in dsp._mel_bands():
+            assert not block.flags.writeable
+            assert not rebuilt[rows, bins].any()
+            rebuilt[rows, bins] = block
+        np.testing.assert_array_equal(rebuilt, bank)
+
+    def test_log_mel_of_a_ten_second_clip_peaks_under_5_mb(self):
+        # The dense formula's temporaries (padded signal, windowed frames,
+        # spectrum, squares, a transposed copy) peaked at 6.4 MB; 32-frame
+        # blocks into one power array peak near 2.1 MB.
+        samples = noise(160000)
+        log_mel(samples)  # builds the cached filterbank and bands
+        tracemalloc.start()
+        try:
+            log_mel(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestStandardize:
     def test_zero_mean_unit_variance(self):
         rng = np.random.default_rng(3)
@@ -136,14 +200,14 @@ class TestStandardize:
         assert np.all(standardize(np.full((4, 4), 7.0)) == 0.0)
 
 
-def pcm_wav(channels=1, rate=SR, frames=64):
-    """Bytes of a silent 16-bit WAV."""
+def pcm_wav(channels=1, rate=SR, frames=64, pcm=None):
+    """Bytes of a 16-bit WAV of ``pcm`` frames, or of ``frames`` silent ones."""
     buffer = io.BytesIO()
     with wave_module.open(buffer, "wb") as handle:
         handle.setnchannels(channels)
         handle.setsampwidth(2)
         handle.setframerate(rate)
-        handle.writeframes(b"\x00\x00" * channels * frames)
+        handle.writeframes(b"\x00\x00" * channels * frames if pcm is None else pcm.tobytes())
     return buffer.getvalue()
 
 
@@ -159,6 +223,15 @@ class TestWavIO:
         assert decoded.dtype == np.float64 and decoded.shape == samples.shape
         # quantization plus the 32767/32768 scale asymmetry
         np.testing.assert_allclose(decoded, samples, atol=6.0 / 65536)
+
+    def test_every_pcm_value_decodes_to_itself_over_32768(self):
+        pcm = np.arange(-32768, 32768, dtype="<i2")
+        decoded = read_wav_mono(pcm_wav(pcm=pcm), "all.wav")
+        np.testing.assert_array_equal(decoded, pcm.astype(np.float64) / 32768.0)
+
+    def test_a_wav_with_no_samples_is_refused_naming_it(self):
+        with pytest.raises(DspError, match="^corpus/a.wav: WAV holds no samples$"):
+            read_wav_mono(pcm_wav(frames=0), "corpus/a.wav")
 
     def test_stereo_rejected(self):
         with pytest.raises(DspError, match="mono"):
@@ -195,6 +268,14 @@ class TestFeatureCache:
         path = tmp_path / "clip.feat"
         save_features(path, values)
         np.testing.assert_array_equal(load_features(path), values)
+
+    @pytest.mark.parametrize("layout", ["float64", "fortran"])
+    def test_the_entry_holds_the_f32_bytes_of_any_layout(self, tmp_path, layout):
+        values = np.random.default_rng(6).normal(size=(5, 7))
+        given = values if layout == "float64" else np.asfortranarray(values.astype(np.float32))
+        path = tmp_path / "clip.feat"
+        save_features(path, given)
+        assert path.read_bytes()[16:] == values.astype("<f4").tobytes()
 
     def test_save_replaces_the_entry_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "clip.feat"
