@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import HmicError
 
 CHECKPOINT_MAGIC = b"HMICCKPT"
@@ -88,7 +89,7 @@ def save_checkpoint(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     config_blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    with path.open("wb") as handle:
+    with replacing(path) as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", CHECKPOINT_VERSION))
         handle.write(bytes.fromhex(digest))

@@ -18,15 +18,15 @@ move in the last bit).
 from __future__ import annotations
 
 import io
-import os
 import struct
-import threading
 import wave as wave_module
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import HmicError
 
 FEATURE_MAGIC = b"HMICFEA1"
@@ -59,17 +59,21 @@ def hz_to_mel(f_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
 
 
+def _n_frames(n_samples: int) -> int:
+    """STFT frames of ``n_samples`` samples: ceil(n_samples / hop), hop
+    FRAME_SIZE/2; the signal is zero-padded at the end so every hop position
+    yields a full frame."""
+    return -(-n_samples // (FRAME_SIZE // 2))
+
+
 def stft_power(samples: np.ndarray) -> np.ndarray:
     """Power spectrogram of 1-D audio, shape (FRAME_SIZE/2 + 1, n_frames), hop
     FRAME_SIZE/2: the transpose of a frame-major array, a view.
-
-    n_frames = ceil(len/hop); the signal is zero-padded at the end so every
-    hop position yields a full frame.
     """
     hop = FRAME_SIZE // 2
     if samples.size < 1:
         raise DspError("cannot transform empty audio")
-    n_frames = -(-samples.size // hop)
+    n_frames = _n_frames(samples.size)
     power = np.empty((n_frames, FRAME_SIZE // 2 + 1))
     windowed = np.empty((_STFT_BLOCK_FRAMES, FRAME_SIZE))
     for first in range(0, n_frames, _STFT_BLOCK_FRAMES):
@@ -137,29 +141,59 @@ def standardize(values: np.ndarray) -> np.ndarray:
 # --- WAV I/O (16-bit PCM mono) ---------------------------------------------
 
 
+def read_clip(path: Path) -> bytes:
+    """The bytes of the clip file at ``path``; a file that cannot be read
+    raises DspError."""
+    with _reading(path):
+        return path.read_bytes()
+
+
+def log_mel_shape(path: Path) -> tuple[int, int]:
+    """(N_MELS, n_frames) of the log-Mel of the WAV file at ``path``, from its
+    header alone: no sample is read. Raises DspError as ``read_wav_mono`` does
+    on a header it refuses, or when the file cannot be read."""
+    with _reading(path), wave_module.open(str(path), "rb") as handle:
+        return N_MELS, _n_frames(_header_samples(handle, path))
+
+
 def read_wav_mono(data: bytes, name: str | Path) -> np.ndarray:
     """The float64 samples of a WAV file's bytes; ``name`` labels every error.
     A truncated, empty or non-WAV input, or one not 16-bit mono at
     SAMPLE_RATE_HZ, raises DspError."""
-    try:
-        with wave_module.open(io.BytesIO(data), "rb") as handle:
-            channels, width = handle.getnchannels(), handle.getsampwidth()
-            if channels != 1:
-                raise DspError(f"{name}: expected mono audio, got {channels} channels")
-            if width != 2:
-                raise DspError(f"{name}: expected 16-bit PCM, got {8 * width}-bit")
-            rate, n_samples = handle.getframerate(), handle.getnframes()
-            if rate != SAMPLE_RATE_HZ:
-                raise DspError(f"{name}: sampled at {rate} Hz, the front end takes "
-                               f"{SAMPLE_RATE_HZ} Hz (resampling unsupported)")
-            raw = handle.readframes(n_samples)
-    except (EOFError, wave_module.Error) as exc:
-        raise DspError(f"{name}: cannot read WAV ({exc})") from None
+    with _reading(name), wave_module.open(io.BytesIO(data), "rb") as handle:
+        n_samples = _header_samples(handle, name)
+        raw = handle.readframes(n_samples)
     if len(raw) != 2 * n_samples:
         raise DspError(f"{name}: truncated WAV (have {len(raw)} of {2 * n_samples} data bytes)")
+    return np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0)  # exact: 2**-15
+
+
+@contextmanager
+def _reading(name: str | Path):
+    """Raises a failure to read the clip ``name`` as one DspError naming it."""
+    try:
+        yield
+    except (EOFError, wave_module.Error) as exc:
+        raise DspError(f"{name}: cannot read WAV ({exc})") from None
+    except OSError as exc:
+        raise DspError(f"{name}: cannot read clip ({exc.strerror or exc})") from None
+
+
+def _header_samples(handle: wave_module.Wave_read, name: str | Path) -> int:
+    """The sample count an open WAV's header declares, once the header is
+    checked to be 16-bit mono at SAMPLE_RATE_HZ with at least one sample."""
+    channels, width = handle.getnchannels(), handle.getsampwidth()
+    if channels != 1:
+        raise DspError(f"{name}: expected mono audio, got {channels} channels")
+    if width != 2:
+        raise DspError(f"{name}: expected 16-bit PCM, got {8 * width}-bit")
+    rate, n_samples = handle.getframerate(), handle.getnframes()
+    if rate != SAMPLE_RATE_HZ:
+        raise DspError(f"{name}: sampled at {rate} Hz, the front end takes "
+                       f"{SAMPLE_RATE_HZ} Hz (resampling unsupported)")
     if n_samples == 0:
         raise DspError(f"{name}: WAV holds no samples")
-    return np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0)  # exact: 2**-15
+    return n_samples
 
 
 def write_wav_mono(path: str | Path, samples: np.ndarray) -> None:
@@ -184,22 +218,9 @@ def save_features(path: str | Path, values: np.ndarray) -> None:
     data = np.ascontiguousarray(values, dtype="<f4")
     if data.ndim != 2:
         raise DspError(f"feature matrix must be 2-D, got shape {data.shape}")
-    header = FEATURE_MAGIC + struct.pack("<II", data.shape[0], data.shape[1])
-    _write_entry(Path(path), header, data)
-
-
-def _write_entry(path: Path, *parts: bytes | np.ndarray) -> None:
-    """Write a cache entry: a sibling temp file, named per process and thread,
-    renamed over the entry, so no reader sees, and no crash leaves, a
-    half-written one."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        with tmp.open("wb") as handle:
-            for part in parts:
-                handle.write(part)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path) as handle:
+        handle.write(FEATURE_MAGIC + struct.pack("<II", data.shape[0], data.shape[1]))
+        handle.write(data)
 
 
 def load_features(path: str | Path) -> np.ndarray:

@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import replacing
 from .errors import HmicError
 
 DOMAINS = ("source", "target", "unknown")
@@ -198,7 +199,7 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 def write_csv_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
     """Write the header ``columns`` and then ``rows`` as a UTF-8 CSV
     (``csv.writer`` defaults, so CRLF line endings)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with replacing(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)

@@ -25,8 +25,9 @@ from .errors import HmicError
 # them. A 32-clip training step in these chunks peaks at 20 MB (128x63) and
 # 17 MB (128x313) under tracemalloc in float32 (39 and 33 MB in float64),
 # against 101 and 506 MB as one float64 batch. Scoring
-# (``pipeline._embeddings``) stacks each chunk's float32 input only when that
-# chunk runs, so it holds one chunk of model input, not the batch.
+# (``pipeline._embeddings``) reads a machine's test clips one chunk at a time
+# and gathers the float32 input of the clips it must embed into one chunk,
+# so it holds about two chunks of log-Mels, not the test set.
 _CHUNK_PIXELS = 100_000
 
 # The network's compute dtype in training and scoring: float32 halves a step's
@@ -155,12 +156,17 @@ def _forward(params: ModelParams, x: np.ndarray, caches: dict | None = None):
     return h, feat_high
 
 
+def _chunk_clips(height: int, width: int) -> int:
+    """Clips of ``(height, width)`` per chunk: about ``_CHUNK_PIXELS`` input
+    pixels, and at least one clip."""
+    return max(1, _CHUNK_PIXELS // (height * width))
+
+
 def _chunks(n_clips: int, height: int, width: int) -> list[slice]:
-    """Consecutive slices of a batch of ``n_clips`` (height, width) clips, each
-    of about ``_CHUNK_PIXELS`` input pixels and at least one clip. An empty
-    batch still gives one slice, so inference on it yields (0, d) feature
-    matrices."""
-    step = max(1, _CHUNK_PIXELS // (height * width))
+    """Consecutive ``_chunk_clips`` slices of a batch of ``n_clips`` (height,
+    width) clips. An empty batch still gives one slice, so inference on it
+    yields (0, d) feature matrices."""
+    step = _chunk_clips(height, width)
     return [slice(i, i + step) for i in range(0, n_clips or 1, step)]
 
 

@@ -16,10 +16,16 @@ what the miss computed: the float32 embedding, stored as float64. Neither key
 covers the code: an edit to the front end or to the model needs an empty cache.
 
 Scoring runs the network in ``model.NET_DTYPE`` (float32), so a checkpoint
-whose weights are not float32 values scores with them rounded. It builds the
-float32 model input one forward chunk (``model._chunks``) at a time, after
-checking that all of a machine's missed clips share one feature shape; test
-clips of a machine the checkpoint lacks are never read.
+whose weights are not float32 values scores with them rounded. It makes one
+streaming pass per machine: first the WAV headers of all the machine's test
+clips, cached or not, must agree on one log-Mel shape, before any sample is
+decoded; then the clips are read, transformed and embedded in manifest order
+one model chunk (``model._chunk_clips``) at a time, the standardized float32
+input of the clips without an embedding row gathered into one chunk. So
+scoring holds about two chunks of log-Mels, however many clips it scores. Test
+clips of a machine the checkpoint lacks are never read. Training still holds
+every train clip's log-Mel: streaming them into its input stack cost more in
+page faults than it saved in memory.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp, scoring
+from .atomic import replacing
 from .checkpoint import load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .datagen import SynthSpec, generate, spec_to_json
@@ -41,7 +49,7 @@ from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import (ManifestEntry, assign_labels, build_label_space, read_csv_rows,
                        read_manifest, write_csv_rows)
-from .model import (NET_DTYPE, ModelConfig, ModelParams, _chunks, forward_features,
+from .model import (NET_DTYPE, ModelConfig, ModelParams, _chunk_clips, forward_features,
                     init_params)
 from .training import train, write_training_log
 
@@ -58,52 +66,51 @@ class ConfigMismatchError(PipelineError):
 
 
 def _cache_dir(workdir: Path) -> Path:
+    """The feature cache directory, created if absent."""
     root = os.environ.get("HMIC_CACHE_DIR")
-    return Path(root) if root else workdir / "feature_cache"
+    path = Path(root) if root else workdir / "feature_cache"
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def extract_features(
-    entries: list[ManifestEntry],
-    corpus_root: Path,
-    config: RunConfig,
-    workdir: Path,
-    wav_digests: dict[str, str] | None = None,
-) -> dict[str, np.ndarray]:
-    """Log-Mel matrices (float32, cache precision) keyed by clip_id; each
-    clip's WAV sha256 goes into ``wav_digests`` when it is given."""
-    cache_dir = _cache_dir(workdir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+@contextmanager
+def _mapper(jobs: int):
+    """A ``map`` that runs its calls on ``jobs`` threads: one pool for the
+    whole block, or the builtin for one job."""
+    if jobs == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
 
-    def one(entry: ManifestEntry) -> tuple[str, str, np.ndarray]:
+
+def extract_features(entries: list[ManifestEntry], corpus_root: Path, cache_dir: Path,
+                     map_) -> list[tuple[str, np.ndarray]]:
+    """(WAV sha256, log-Mel) of each clip, in ``entries`` order; the log-Mel is
+    float32 (cache precision), loaded from ``cache_dir`` or computed and saved
+    there. ``map_``, from ``_mapper``, runs the clips; all of them are done
+    when this returns."""
+
+    def one(entry: ManifestEntry) -> tuple[str, np.ndarray]:
         path = corpus_root / entry.path
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise dsp.DspError(f"{path}: cannot read clip ({exc.strerror or exc})") from None
+        data = dsp.read_clip(path)
         digest = hashlib.sha256(data).hexdigest()
         cached = cache_dir / (digest + ".feat")
         if cached.exists():
             try:
-                return entry.meta.clip_id, digest, dsp.load_features(cached)
+                return digest, dsp.load_features(cached)
             except dsp.DspError:
                 pass  # a corrupt entry is a miss: re-extract and rewrite it
         values = dsp.log_mel(dsp.read_wav_mono(data, path)).astype(np.float32)
         dsp.save_features(cached, values)
-        return entry.meta.clip_id, digest, values
+        return digest, values
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            triples = list(pool.map(one, entries))
-    else:
-        triples = [one(entry) for entry in entries]
-    if wav_digests is not None:
-        wav_digests.update((clip_id, digest) for clip_id, digest, _ in triples)
-    return {clip_id: values for clip_id, _, values in triples}
+    return list(map_(one, entries))
 
 
-def _feature_shape(entries, features) -> tuple[int, int]:
-    """The (H, W) that every clip's log-Mel shares."""
-    shapes = {features[e.meta.clip_id].shape for e in entries}
+def _feature_shape(shapes) -> tuple[int, int]:
+    """The (H, W) that every one of a machine's clip ``shapes`` is."""
+    shapes = set(shapes)
     if len(shapes) != 1:
         raise PipelineError(f"clips disagree on feature shape: {sorted(shapes)}")
     return shapes.pop()
@@ -129,27 +136,40 @@ def _forward_key(params: ModelParams) -> str:
     return h.hexdigest()
 
 
-def _embeddings(params, entries, features, wav_digests, cache_dir) -> np.ndarray:
-    """(N, d_h) ``feat_high`` rows. One cache file per forward key holds a row
-    per WAV sha256; only the clips without a row run the forward, one model
-    chunk of standardized float32 inputs at a time, and then the file is
-    rewritten with the old rows and the new. One file, not one per clip,
-    because creating a file takes about 0.5 ms on a 2-core VM, a quarter of a
-    128x63 clip's forward. A truncated or garbage file counts as empty. When
-    two processes add rows at once, the last rename wins and the other's rows
-    are misses next time."""
+def _embeddings(params, entries, corpus_root, cache_dir, map_) -> np.ndarray:
+    """(N, d_h) ``feat_high`` rows of a machine's clips. One cache file per
+    forward key holds a row per WAV sha256. The clips' WAV headers must agree
+    on the log-Mel shape; then the clips are extracted one model chunk at a
+    time, and only those without a row run the forward, one chunk of their
+    standardized float32 inputs at a time; then the file is rewritten with the
+    old rows and the new. One file, not one per clip, because creating a file
+    takes about 0.5 ms on a 2-core VM, a quarter of a 128x63 clip's forward. A
+    truncated or garbage file counts as empty. When two processes add rows at
+    once, the last rename wins and the other's rows are misses next time."""
+    shape = _feature_shape(dsp.log_mel_shape(corpus_root / e.path) for e in entries)
     path = cache_dir / f"{_forward_key(params)}.emb"
     rows = _read_embeddings(path, params.config.feat_high_dim)
-    missed = [e for e in entries if wav_digests[e.meta.clip_id] not in rows]
+    step = _chunk_clips(*shape)
+    pending = np.empty((min(step, len(entries)), 1, *shape), dtype=NET_DTYPE)
+    digests, missed, computed = [], [], []
+    for first in range(0, len(entries), step):
+        group = entries[first:first + step]
+        for digest, values in extract_features(group, corpus_root, cache_dir, map_):
+            digests.append(digest)
+            if digest not in rows:
+                pending[len(missed) % step, 0] = dsp.standardize(values)
+                missed.append(digest)
+                if len(missed) % step == 0:
+                    computed.append(forward_features(params, pending))
+    if len(missed) % step:
+        computed.append(forward_features(params, pending[:len(missed) % step]))
     if missed:
-        shape = _feature_shape(missed, features)  # all of them, before the first forward
-        computed = np.concatenate([
-            forward_features(params, _stack_inputs(missed[part], features, shape))
-            for part in _chunks(len(missed), *shape)])
-        rows.update(zip((wav_digests[e.meta.clip_id] for e in missed), computed))
-        dsp._write_entry(path, EMBEDDING_MAGIC, *(
-            bytes.fromhex(digest) + row.astype("<f8").tobytes() for digest, row in rows.items()))
-    return np.array([rows[wav_digests[e.meta.clip_id]] for e in entries], dtype=np.float64)
+        rows.update(zip(missed, np.concatenate(computed)))
+        with replacing(path) as handle:
+            handle.write(EMBEDDING_MAGIC)
+            for digest, row in rows.items():
+                handle.write(bytes.fromhex(digest) + row.astype("<f8").tobytes())
+    return np.array([rows[digest] for digest in digests], dtype=np.float64)
 
 
 def _read_embeddings(path: Path, dim: int) -> dict[str, np.ndarray]:
@@ -192,13 +212,16 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
             raise PipelineError(f"training clip {e.meta.clip_id!r} has domain "
                                 f"{e.meta.domain!r}; it must be source or target")
 
-    features = extract_features(train_entries, corpus_dir, config, workdir)
+    with _mapper(config.jobs) as map_:
+        extracted = extract_features(train_entries, corpus_dir, _cache_dir(workdir), map_)
+    features = {e.meta.clip_id: values for e, (_, values) in zip(train_entries, extracted)}
     tensors: dict[str, np.ndarray] = {}
     label_spaces: dict[str, dict] = {}
     for machine in machines:
         own = [e for e in train_entries if e.meta.machine_type == machine]
         space = build_label_space([e.meta for e in own], machine)
-        inputs = _stack_inputs(own, features, _feature_shape(own, features))
+        shape = _feature_shape(features[e.meta.clip_id].shape for e in own)
+        inputs = _stack_inputs(own, features, shape)
         pairs = [assign_labels(e.meta, space) for e in own]
         labels_id = np.array([p[0] for p in pairs])
         labels_ag = np.array([p[1] for p in pairs])
@@ -306,11 +329,6 @@ def run_score(
     if not test_entries:
         raise PipelineError("manifest contains no test clips")
     corpus_root = manifest_path.parent
-    # Only the clips of machines the checkpoint holds are read; the others
-    # get error rows below.
-    wav_digests: dict[str, str] = {}
-    features = extract_features([e for e in test_entries if e.meta.machine_type in models],
-                                corpus_root, config, workdir, wav_digests)
     cache_dir = _cache_dir(workdir)
 
     scored: dict[str, tuple[str, int]] = {}  # clip_id -> CSV score, argmin group
@@ -319,18 +337,19 @@ def run_score(
     for entry in test_entries:
         by_machine.setdefault(entry.meta.machine_type, []).append(entry)
     score_fn = scoring.score_agc if config.scoring_mode == "agc" else scoring.score_dc
-    for machine, own in by_machine.items():
-        if machine not in models:
-            errors.extend(f"{e.meta.clip_id}: unknown machine type {machine!r}" for e in own)
-            continue
-        feat_high = _embeddings(params[machine], own, features, wav_digests, cache_dir)
-        scores, argmins, failed = score_fn(feat_high, models[machine],
-                                           np.array([e.meta.section_id for e in own]))
-        for i, entry in enumerate(own):
-            if i in failed:
-                errors.append(f"{entry.meta.clip_id}: {failed[i]}")
-            else:
-                scored[entry.meta.clip_id] = f"{scores[i]:.12g}", int(argmins[i])
+    with _mapper(config.jobs) as map_:
+        for machine, own in by_machine.items():
+            if machine not in models:  # its clips are never read
+                errors.extend(f"{e.meta.clip_id}: unknown machine type {machine!r}" for e in own)
+                continue
+            feat_high = _embeddings(params[machine], own, corpus_root, cache_dir, map_)
+            scores, argmins, failed = score_fn(feat_high, models[machine],
+                                               np.array([e.meta.section_id for e in own]))
+            for i, entry in enumerate(own):
+                if i in failed:
+                    errors.append(f"{entry.meta.clip_id}: {failed[i]}")
+                else:
+                    scored[entry.meta.clip_id] = f"{scores[i]:.12g}", int(argmins[i])
 
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out_csv, SCORE_COLUMNS, (

@@ -64,6 +64,16 @@ class TestCheckpointFile:
             assert loaded[name].shape == np.shape(tensors[name])
             np.testing.assert_array_equal(loaded[name], np.asarray(tensors[name], float))
 
+    def test_a_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "model.hmic"
+        save_checkpoint(path, {"a": np.ones(5)}, {}, config_digest({}))
+        intact = path.read_bytes()
+        with pytest.raises(ValueError):  # "b" is written after the header and "a"
+            save_checkpoint(path, {"a": np.zeros(5), "b": "not a number"}, {},
+                            config_digest({}))
+        assert path.read_bytes() == intact
+        assert [p.name for p in tmp_path.iterdir()] == ["model.hmic"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hmic"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -538,18 +539,18 @@ class TestFeatureCacheKey:
 
     def test_corpora_sharing_clip_ids_get_their_own_features(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HMIC_CACHE_DIR", str(tmp_path / "shared_cache"))
-        config = make_tiny_config()
         clip_ids = []
         for seed in (7, 8):
             root = tmp_path / f"corpus_{seed}"
             entries = read_manifest(generate(make_tiny_spec(seed=seed), root))
             clip_ids.append([e.meta.clip_id for e in entries])
-            features = extract_features(entries, root, config, tmp_path / f"work_{seed}")
-            for entry in entries:
-                path = root / entry.path
-                fresh = dsp.log_mel(dsp.read_wav_mono(path.read_bytes(), path))
-                np.testing.assert_array_equal(features[entry.meta.clip_id],
-                                              fresh.astype(np.float32))
+            cache_dir = pipeline._cache_dir(tmp_path / f"work_{seed}")
+            features = extract_features(entries, root, cache_dir, map)
+            for entry, (digest, values) in zip(entries, features, strict=True):
+                data = (root / entry.path).read_bytes()
+                fresh = dsp.log_mel(dsp.read_wav_mono(data, entry.path))
+                np.testing.assert_array_equal(values, fresh.astype(np.float32))
+                assert digest == hashlib.sha256(data).hexdigest()
         assert clip_ids[0] == clip_ids[1]
 
     def test_settings_past_the_front_end_reuse_every_entry(self, tiny_corpus, tmp_path,
@@ -670,11 +671,22 @@ class TestEmbeddingCache:
         assert entry.read_bytes() == intact
 
 
+def _doubled_test_set(spec):
+    """``spec`` with twice the test clips in every section."""
+    def doubled(counts):
+        return replace(counts, **{f: 2 * getattr(counts, f) for f in (
+            "test_normal_source", "test_anomalous_source", "test_normal_target",
+            "test_anomalous_target")})
+    return replace(spec, machines=tuple(
+        replace(m, sections=tuple(replace(sec, counts=doubled(sec.counts)) for sec in m.sections))
+        for m in spec.machines))
+
+
 class TestScoringMemory:
     def test_scoring_holds_one_chunk_of_model_input(self, trained, tmp_path, forward_clips):
-        # 28 test clips at 128x313 in 2-clip chunks peak near 14 MB: their
-        # float32 log-Mels (4.5 MB) plus one chunk's input and forward. Stacking
-        # every missed clip's float64 input first (9 MB more) peaked at 22 MB.
+        # 28 test clips at 128x313 in 2-clip chunks peak near 5 MB: about two
+        # chunks of log-Mels plus one chunk's input and forward. Stacking every
+        # missed clip's float64 input first peaked at 22 MB.
         _, _, checkpoint, _ = trained
         corpus = tmp_path / "corpus"
         manifest = generate(replace(make_tiny_spec(), clip_seconds=10.0), corpus)
@@ -691,6 +703,29 @@ class TestScoringMemory:
         first = model._chunks(n_test, dsp.N_MELS, 313)[0]
         assert sum(forward_clips) == n_test
         assert max(forward_clips) == first.stop < n_test  # one chunk per call
+
+    def test_scoring_memory_does_not_grow_with_the_test_set(self, trained, tmp_path):
+        # A machine's clips are read, transformed and embedded one model chunk
+        # at a time, so 28 more 10 s clips (4.5 MB of float32 log-Mels) leave
+        # the peak where it was. Holding every clip's log-Mel until the first
+        # forward peaked at 9.2 and 13.7 MB.
+        _, _, checkpoint, _ = trained
+        spec = replace(make_tiny_spec(), clip_seconds=10.0)
+        peaks = []
+        for name, sized in (("single", spec), ("double", _doubled_test_set(spec))):
+            manifest = generate(sized, tmp_path / name / "corpus")
+            out = tmp_path / name / "scores.csv"
+            tracemalloc.start()
+            try:
+                outcome = pipeline.run_score(make_tiny_config(), checkpoint, manifest, out,
+                                             tmp_path / name)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert not outcome.errors
+            peaks.append(peak)
+        assert len(read_scores_csv(out)) == 56
+        assert abs(peaks[1] - peaks[0]) < 1e6, [f"{peak / 1e6:.2f} MB" for peak in peaks]
 
 
 class TestTracedScoring:
@@ -755,6 +790,36 @@ class TestFeatureShapeCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "clips disagree on feature shape" in err
         assert forwards == [] and not out.exists()
+
+    def test_clips_with_cached_embeddings_are_checked_too(self, trained, tmp_path,
+                                                         tiny_config_path, capsys,
+                                                         forward_clips):
+        corpus_root, manifest, checkpoint, _ = trained
+        entries = _absolute_paths(read_manifest(manifest), corpus_root)
+        victim = [e for e in entries if e.meta.split == "test"][-1]
+        samples = dsp.read_wav_mono(Path(victim.path).read_bytes(), victim.path)
+        longer = tmp_path / "longer.wav"
+        dsp.write_wav_mono(longer, np.tile(samples, 2))
+        longer_only = tmp_path / "longer" / "manifest.csv"
+        mixed = tmp_path / "mixed" / "manifest.csv"
+        for path in (longer_only, mixed):
+            path.parent.mkdir()
+        write_manifest([replace(victim, path=str(longer))], longer_only)
+        write_manifest([replace(e, path=str(longer)) if e is victim else e for e in entries],
+                       mixed)
+        for scored in (manifest, longer_only):  # every clip of ``mixed`` gets a row
+            assert run_cli("score", "--checkpoint", checkpoint, "--manifest", scored,
+                           "--out", tmp_path / "out" / "scores.csv",
+                           "--config", tiny_config_path) == 0
+        forward_clips.clear()
+        out = tmp_path / "out" / "mixed_scores.csv"
+        code = run_cli("score", "--checkpoint", checkpoint, "--manifest", mixed,
+                       "--out", out, "--config", tiny_config_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "clips disagree on feature shape" in err
+        assert forward_clips == [] and not out.exists()
 
 
 class TestCorpusReadErrors:
@@ -830,6 +895,41 @@ class TestCorpusReadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and victim.path in err
         assert not out.exists()
+
+
+    def test_a_clip_cut_short_mid_stream_is_one_line_error(
+            self, trained, corpus_copy, tmp_path, tiny_config_path, capsys, monkeypatch,
+            forward_clips):
+        checkpoint = trained[2]
+        corpus, entries = corpus_copy
+        test = [e for e in entries if e.meta.split == "test"]
+        victim = corpus / test[-1].path
+        samples = dsp.read_wav_mono(victim.read_bytes(), victim)
+        monkeypatch.setattr(model, "_CHUNK_PIXELS", dsp.log_mel(samples).size)  # 1-clip chunks
+
+        def score(name):
+            out = tmp_path / name / "scores.csv"
+            code = run_cli("score", "--checkpoint", checkpoint, "--manifest",
+                           corpus / "manifest.csv", "--out", out, "--config", tiny_config_path)
+            rows = {}
+            for emb in (tmp_path / name / "feature_cache").glob("*.emb"):
+                rows.update(pipeline._read_embeddings(emb, make_tiny_config().model.feat_high_dim))
+            return code, out, rows
+
+        code, _, true_rows = score("intact")
+        assert code == 0 and len(true_rows) == len(test)
+        capsys.readouterr()
+        victim.write_bytes(victim.read_bytes()[:-100])  # the header still claims every sample
+        forward_clips.clear()
+        code, out, rows = score("cut")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{victim}: truncated WAV" in err
+        assert not out.exists()
+        assert forward_clips == [1] * (len(test) - 1)  # the clips before it ran
+        for digest, row in rows.items():
+            np.testing.assert_array_equal(row, true_rows[digest])
 
 
 def _first(tensors, prefix, part):

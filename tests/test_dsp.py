@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 import wave as wave_module
 
@@ -255,6 +256,35 @@ class TestWavIO:
     def test_bad_bytes_error_carries_the_given_name(self):
         with pytest.raises(DspError, match="corpus/a.wav"):
             read_wav_mono(b"not a wav file", "corpus/a.wav")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=5000))
+    def test_the_header_gives_the_log_mel_shape(self, tmp_path_factory, length):
+        path = tmp_path_factory.mktemp("header") / "clip.wav"
+        write_wav_mono(path, np.full(length, 0.25))
+        samples = read_wav_mono(path.read_bytes(), path)
+        assert dsp.log_mel_shape(path) == log_mel(samples).shape
+
+    @pytest.mark.parametrize("fault", ["stereo", "rate", "no_samples", "not_riff",
+                                       "truncated_header"])
+    def test_the_header_is_refused_with_the_message_of_read_wav_mono(self, tmp_path, fault):
+        data = {"stereo": pcm_wav(channels=2), "rate": pcm_wav(rate=8000),
+                "no_samples": pcm_wav(frames=0), "not_riff": b"JUNK" + pcm_wav()[4:],
+                "truncated_header": pcm_wav()[:20]}[fault]
+        path = tmp_path / "clip.wav"
+        path.write_bytes(data)
+        with pytest.raises(DspError) as from_samples:
+            read_wav_mono(data, path)
+        with pytest.raises(DspError) as from_header:
+            dsp.log_mel_shape(path)
+        assert str(from_header.value) == str(from_samples.value)
+        assert str(from_header.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("read", [dsp.read_clip, dsp.log_mel_shape])
+    def test_a_missing_clip_is_one_message_naming_it(self, tmp_path, read):
+        path = tmp_path / "gone.wav"
+        with pytest.raises(DspError, match=f"^{re.escape(str(path))}: cannot read clip \\("):
+            read(path)
 
     def test_overrange_samples_rejected(self, tmp_path):
         with pytest.raises(DspError, match="full scale"):
