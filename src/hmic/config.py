@@ -45,12 +45,10 @@ class RunConfig:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
-    def semantic_dict(self) -> dict:
-        """The sub-config that determines what a trained checkpoint contains."""
-        return {k: v for k, v in to_dict(self).items() if k not in _SCORE_TIME_FIELDS}
-
     def semantic_digest(self) -> str:
-        return config_digest(self.semantic_dict())
+        """Digest of the sub-config that determines what a trained checkpoint contains."""
+        return config_digest({k: v for k, v in to_dict(self).items()
+                              if k not in _SCORE_TIME_FIELDS})
 
     def with_overrides(
         self,

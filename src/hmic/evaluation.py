@@ -160,7 +160,8 @@ def build_report(
 ) -> EvalReport:
     """Per-(machine, section, domain) AUC/pAUC cells plus harmonic-mean totals.
 
-    Every cell must contain both normal and anomalous clips.
+    Every cell must contain both normal and anomalous clips, and its AUC and
+    pAUC must be positive; the first cell that fails names itself.
     """
     if not clips:
         raise UndefinedMetricError("no scored clips to evaluate")
@@ -193,6 +194,12 @@ def build_report(
         )
         for machine, section in section_keys
     )
+    for cell in cells:
+        for metric, value in (("AUC", cell.auc), (f"pAUC (p = {pauc_p:g})", cell.pauc)):
+            if value <= 0.0:
+                raise UndefinedMetricError(
+                    f"{cell.machine_type} section {cell.section} {cell.domain}: {metric} is "
+                    f"{value:g}; the harmonic-mean totals are undefined")
     machine_totals: dict[str, dict[str, float]] = {}
     for machine in sorted({c.machine_type for c in cells}):
         own = [c for c in cells if c.machine_type == machine]

@@ -61,10 +61,6 @@ class PipelineError(HmicError, RuntimeError):
     pass
 
 
-class ConfigMismatchError(PipelineError):
-    """Checkpoint was produced under a different semantic configuration."""
-
-
 def _cache_dir(workdir: Path) -> Path:
     """The feature cache directory, created if absent."""
     root = os.environ.get("HMIC_CACHE_DIR")
@@ -195,10 +191,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     checkpoint_path = Path(checkpoint_path)
     workdir = Path(workdir) if workdir else checkpoint_path.parent
     workdir.mkdir(parents=True, exist_ok=True)
-    manifest_path = corpus_dir / "manifest.csv"
-    if not manifest_path.exists():
-        raise PipelineError(f"missing manifest {manifest_path}")
-    entries = read_manifest(manifest_path)
+    entries = read_manifest(corpus_dir / "manifest.csv")
     train_entries = [e for e in entries if e.meta.split == "train"]
     if not train_entries:
         raise PipelineError("manifest contains no training clips")
@@ -246,12 +239,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
         tensors.update(scoring.centre_model_to_tensors(dc, f"{machine}/dc"))
         label_spaces[machine] = to_dict(space)
 
-    embedded = {
-        "run": to_dict(config),
-        "semantic": config.semantic_dict(),
-        "label_spaces": label_spaces,
-        "machines": machines,
-    }
+    embedded = {"run": to_dict(config), "label_spaces": label_spaces}
     save_checkpoint(checkpoint_path, tensors, embedded, config.semantic_digest())
     return checkpoint_path
 
@@ -306,7 +294,7 @@ def run_score(
     workdir = Path(workdir) if workdir else out_csv.parent
     tensors, _, digest = load_checkpoint(checkpoint_path)
     if digest != config.semantic_digest():
-        raise ConfigMismatchError(
+        raise PipelineError(
             f"checkpoint digest {digest[:12]} does not match the current config "
             f"{config.semantic_digest()[:12]}; retrain or fix the config"
         )

@@ -953,11 +953,11 @@ def _rename_section(tensors):
 
 
 _JSON_EDITS = {
-    "machines_renamed": lambda block: block.update(machinfs=block.pop("machines")),
+    "label_spaces_renamed": lambda block: block.update(label_spacfs=block.pop("label_spaces")),
     "channels_shortened": lambda block: block["run"]["model"].update(
         channels=block["run"]["model"]["channels"][:2]),
     "label_space_without_groups": lambda block: block["label_spaces"]["gizmo"].pop("groups"),
-    "semantic_emptied": lambda block: block.update(semantic={}),
+    "run_emptied": lambda block: block.update(run={}),
 }
 _TENSOR_EDITS = {
     "missing_head_w": lambda tensors: tensors.pop("gizmo/param/head.w"),
@@ -1014,7 +1014,8 @@ class TestCheckpointTrust:
         _, manifest, checkpoint, _ = trained
         _, block, _ = load_checkpoint(checkpoint)
         train = [e.meta for e in read_manifest(manifest) if e.meta.split == "train"]
-        assert sorted(block["label_spaces"]) == block["machines"] == ["gizmo"]
+        assert sorted(block) == ["label_spaces", "run"]
+        assert sorted(block["label_spaces"]) == ["gizmo"]
         for machine, data in block["label_spaces"].items():
             own = [meta for meta in train if meta.machine_type == machine]
             assert from_dict(LabelSpace, data) == build_label_space(own, machine)
@@ -1107,8 +1108,12 @@ class TestUnreadableInputs:
     """A named input file that is missing or not UTF-8 is one error line, exit 2."""
 
     def _run(self, trained, tmp_path, config_path, **inputs):
-        """``hmic score`` for a checkpoint or manifest input, else ``hmic eval``."""
+        """``hmic train`` for a corpus input, ``hmic score`` for a checkpoint or
+        manifest input, else ``hmic eval``."""
         _, manifest, checkpoint, _ = trained
+        if "train" in inputs:
+            return run_cli("train", "--corpus", inputs["train"],
+                           "--out", tmp_path / "model.hmic", "--config", config_path)
         if "scores" in inputs or "config" in inputs:
             scores = inputs.get("scores", tmp_path / "unused.csv")
             return run_cli("eval", "--scores", scores, "--manifest", manifest,
@@ -1118,7 +1123,7 @@ class TestUnreadableInputs:
                        "--manifest", inputs.get("manifest", manifest),
                        "--out", tmp_path / "scores.csv", "--config", config_path)
 
-    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "scores"])
+    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "scores", "train"])
     def test_a_missing_file_is_one_line_error(self, trained, tmp_path, tiny_config_path,
                                               capsys, kind):
         missing = tmp_path / f"missing.{kind}"
@@ -1126,8 +1131,12 @@ class TestUnreadableInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"cannot read {kind} {missing}" in err
+        if kind == "train":  # a corpus directory without its manifest
+            assert f"cannot read manifest {missing / 'manifest.csv'}" in err
+        else:
+            assert f"cannot read {kind} {missing}" in err
         assert not (tmp_path / "scores.csv").exists()
+        assert not (tmp_path / "model.hmic").exists()
 
     @pytest.mark.parametrize("kind,error,read", [
         ("manifest", ManifestError, read_manifest),
@@ -1273,7 +1282,7 @@ class TestErrors:
                 ):
                     found.append(value)
                     assert name.endswith("Error") and issubclass(value, HmicError), name
-        assert len(found) >= 14  # HmicError and the 13 errors built on it
+        assert len(found) >= 13  # HmicError and the 12 errors built on it
 
     def test_undecodable_checkpoint_config_is_one_line_error(self, trained, tmp_path,
                                                              tiny_config_path, capsys):

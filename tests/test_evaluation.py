@@ -206,6 +206,23 @@ class TestBuildReport:
         with pytest.raises(UndefinedMetricError):
             build_report(clips, pauc_p=0.1)
 
+    def test_a_cell_with_a_zero_metric_is_named(self):
+        # 30 clips in 6 cells; in section 2's target cell a normal clip scores
+        # highest, so its pAUC at p = 0.1 is 0 while its AUC is 4/6.
+        def scores(section, domain):
+            if (section, domain) == (2, "target"):
+                return {"normal": (0.1, 0.2, 0.5), "anomalous": (0.3, 0.4)}
+            return {"normal": (0.1, 0.2, 0.3), "anomalous": (0.8, 0.9)}
+
+        clips = [clip(score, truth, section, domain)
+                 for section in (0, 1, 2) for domain in ("source", "target")
+                 for truth, values in scores(section, domain).items() for score in values]
+        assert len(clips) == 30
+        with pytest.raises(UndefinedMetricError) as excinfo:
+            build_report(clips, pauc_p=0.1)
+        assert str(excinfo.value) == ("gizmo section 2 target: pAUC (p = 0.1) is 0; "
+                                      "the harmonic-mean totals are undefined")
+
     def test_json_and_csv_outputs(self, tmp_path):
         report = build_report(self.make_clips(), pauc_p=0.1)
         data = report.to_dict()

@@ -2,27 +2,13 @@ import ast
 import dataclasses
 from pathlib import Path
 
-import hmic
 from hmic.config import RunConfig
 from hmic.datagen import AnomalySpec, SynthSpec
 from hmic.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = sorted(p for p in (ROOT / "src" / "hmic").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "hmic").glob("*.py"))
 OTHERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-
-
-def test_every_export_resolves_and_the_list_is_sorted():
-    missing = [name for name in hmic.__all__ if not hasattr(hmic, name)]
-    assert missing == []
-    assert hmic.__all__ == sorted(set(hmic.__all__))
-
-
-def test_star_import_binds_every_export():
-    namespace: dict = {}
-    exec("from hmic import *", namespace)
-    assert {name: namespace[name] for name in hmic.__all__} == {
-        name: getattr(hmic, name) for name in hmic.__all__}
 
 
 def _references(path: Path) -> list[tuple[int, str]]:
@@ -42,8 +28,7 @@ def _references(path: Path) -> list[tuple[int, str]]:
 
 def test_every_public_function_has_a_caller_outside_tests():
     # A public function in src/hmic is referred to from the package (outside
-    # __init__.py's re-exports and its own body), scripts/ or bench/; one only
-    # tests call belongs in tests/.
+    # its own body), scripts/ or bench/; one only tests call belongs in tests/.
     callers: dict[str, set[tuple[Path, int]]] = {}
     for path in PACKAGE + OTHERS:
         for index, name in _references(path):
@@ -56,6 +41,22 @@ def test_every_public_function_has_a_caller_outside_tests():
         and not callers.get(statement.name, set()) - {(path, index)}
     ]
     assert uncalled == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name a src/hmic module imports is read in that module: nothing is
+    # imported only to be re-exported, so each name has one import path, the
+    # module that defines it.
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.stem}.{name}" for name in bound if name not in read]
+    assert unused == []
 
 
 def test_every_setting_is_set_outside_tests():
