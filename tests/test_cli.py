@@ -953,7 +953,9 @@ def _rename_section(tensors):
 
 
 _JSON_EDITS = {
-    "label_spaces_renamed": lambda block: block.update(label_spacfs=block.pop("label_spaces")),
+    "machines_renamed": lambda block: block.update(label_spaces={
+        f"{machine}x": space for machine, space in block["label_spaces"].items()}),
+    "spaces_key_renamed": lambda block: block.update(label_spacfs=block.pop("label_spaces")),
     "channels_shortened": lambda block: block["run"]["model"].update(
         channels=block["run"]["model"]["channels"][:2]),
     "label_space_without_groups": lambda block: block["label_spaces"]["gizmo"].pop("groups"),
