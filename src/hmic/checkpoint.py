@@ -1,8 +1,8 @@
-"""Versioned binary checkpoint: named float64 tensors plus an embedded JSON config,
-and the dataclass <-> dict codec that every config and spec is serialised with.
+"""Versioned binary file of named float64 tensors, a JSON block and a sha256 digest, used
+for checkpoints and embedding caches; and the dataclass <-> dict codec of configs and specs.
 
 Layout (little-endian throughout):
-  magic "HMICCKPT" | u32 version | 32-byte config digest (sha256)
+  magic "HMICCKPT" | u32 version | 32-byte digest (a config's or a forward key)
   u64 config length | config JSON (utf-8)
   u32 tensor count
   per tensor: u32 name length | name | u32 rank | u64 dims... | f64 data (row-major)

@@ -319,9 +319,9 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
         (out_dir / filename).parent.mkdir(parents=True, exist_ok=True)
         write_wav_mono(out_dir / filename, synthesize_clip(spec, plan))
         entries.append(ManifestEntry(meta=plan.meta, path=filename))
-    manifest_path = out_dir / "manifest.csv"
-    write_manifest(entries, manifest_path)
     (out_dir / "synth_spec.json").write_text(spec_to_json(spec), encoding="utf-8")
+    manifest_path = out_dir / "manifest.csv"
+    write_manifest(entries, manifest_path)  # last: a manifest means a whole corpus
     return manifest_path
 
 

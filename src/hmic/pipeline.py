@@ -10,10 +10,11 @@ clip IDs never share entries. The model sees each log-Mel standardized.
 
 Scoring caches each test clip's embedding (``feat_high``) next to its log-Mel,
 keyed by the WAV's sha256 and by what the forward adds to the log-Mel: the
-machine's parameter tensors (names, shapes, bytes). So the agc and dc scoring
-of one checkpoint run the forward once per clip, and a hit returns exactly
-what the miss computed: the float32 embedding, stored as float64. Neither key
-covers the code: an edit to the front end or to the model needs an empty cache.
+machine's parameter tensors (names, shapes, bytes), whose digest heads the
+checkpoint-format file of their rows. So the agc and dc scoring of one
+checkpoint run the forward once per clip, and a hit returns exactly what the
+miss computed: the float32 embedding, stored as float64. Neither key covers
+the code: an edit to the front end or to the model needs an empty cache.
 
 Scoring runs the network in ``model.NET_DTYPE`` (float32), so a checkpoint
 whose weights are not float32 values scores with them rounded. It makes one
@@ -40,8 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, scoring
-from .atomic import replacing
+from . import checkpoint, dsp, scoring
 from .checkpoint import load_checkpoint, save_checkpoint, to_dict
 from .config import RunConfig
 from .datagen import SynthSpec, generate, spec_to_json
@@ -54,7 +54,6 @@ from .model import (NET_DTYPE, ModelConfig, ModelParams, _chunk_clips, forward_f
 from .training import train, write_training_log
 
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
-EMBEDDING_MAGIC = b"HMICEMB1"
 
 
 class PipelineError(HmicError, RuntimeError):
@@ -133,18 +132,25 @@ def _forward_key(params: ModelParams) -> str:
 
 
 def _embeddings(params, entries, corpus_root, cache_dir, map_) -> np.ndarray:
-    """(N, d_h) ``feat_high`` rows of a machine's clips. One cache file per
-    forward key holds a row per WAV sha256. The clips' WAV headers must agree
-    on the log-Mel shape; then the clips are extracted one model chunk at a
-    time, and only those without a row run the forward, one chunk of their
-    standardized float32 inputs at a time; then the file is rewritten with the
-    old rows and the new. One file, not one per clip, because creating a file
-    takes about 0.5 ms on a 2-core VM, a quarter of a 128x63 clip's forward. A
-    truncated or garbage file counts as empty. When two processes add rows at
-    once, the last rename wins and the other's rows are misses next time."""
+    """(N, d_h) ``feat_high`` rows of a machine's clips. One checkpoint-format
+    file per forward key (its header digest) holds a row per WAV sha256 (the
+    tensor names). The clips' WAV headers must agree on the log-Mel shape;
+    then the clips are extracted one model chunk at a time, and only those
+    without a row run the forward, one chunk of their standardized float32
+    inputs at a time; then the file is rewritten with the old rows and the
+    new. One file, not one per clip, because creating a file takes about
+    0.5 ms on a 2-core VM, a quarter of a 128x63 clip's forward. A missing,
+    truncated or garbage file, or one whose digest is another key's, counts
+    as empty. When two processes add rows at once, the last rename wins and
+    the other's rows are misses next time."""
     shape = _feature_shape(dsp.log_mel_shape(corpus_root / e.path) for e in entries)
-    path = cache_dir / f"{_forward_key(params)}.emb"
-    rows = _read_embeddings(path, params.config.feat_high_dim)
+    key = _forward_key(params)
+    path = cache_dir / f"{key}.emb"
+    try:  # via the module: bench/layers.py times pipeline's names as checkpoint I/O
+        rows, _, digest = checkpoint.load_checkpoint(path)
+        rows = rows if digest == key else {}
+    except checkpoint.CheckpointError:
+        rows = {}
     step = _chunk_clips(*shape)
     pending = np.empty((min(step, len(entries)), 1, *shape), dtype=NET_DTYPE)
     digests, missed, computed = [], [], []
@@ -161,26 +167,8 @@ def _embeddings(params, entries, corpus_root, cache_dir, map_) -> np.ndarray:
         computed.append(forward_features(params, pending[:len(missed) % step]))
     if missed:
         rows.update(zip(missed, np.concatenate(computed)))
-        with replacing(path) as handle:
-            handle.write(EMBEDDING_MAGIC)
-            for digest, row in rows.items():
-                handle.write(bytes.fromhex(digest) + row.astype("<f8").tobytes())
+        checkpoint.save_checkpoint(path, rows, {}, key)
     return np.array([rows[digest] for digest in digests], dtype=np.float64)
-
-
-def _read_embeddings(path: Path, dim: int) -> dict[str, np.ndarray]:
-    """WAV sha256 -> embedding row of the cache file at ``path``; empty when
-    the file is absent, truncated or garbage."""
-    try:
-        raw = memoryview(path.read_bytes())
-    except FileNotFoundError:
-        return {}
-    size = 32 + 8 * dim  # raw sha256, then the row's float64s
-    body = raw[len(EMBEDDING_MAGIC):]
-    if raw[:len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC or len(body) % size:
-        return {}
-    return {bytes(body[i:i + 32]).hex(): np.frombuffer(body[i + 32:i + size], dtype="<f8")
-            for i in range(0, len(body), size)}
 
 
 def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | Path,

@@ -38,6 +38,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, 
 from hmic.datagen import AttributeSpec, SynthSpec
 from hmic.metadata import LabelSpace
 from hmic.model import ModelConfig
-from hmic.training import TrainConfig
+from hmic.training import TrainConfig, TrainingError
 
 from conftest import make_tiny_spec
 
@@ -140,6 +140,8 @@ class TestRunConfig:
             RunConfig(pauc_p=0.0)
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
+        with pytest.raises(TrainingError):
+            RunConfig().with_overrides(seed=-1)
 
     def test_default_semantic_digest_is_pinned(self):
         assert RunConfig().semantic_digest() == (

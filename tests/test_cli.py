@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -218,6 +219,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert not workdir.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_negative_seed_fails_before_the_manifest_is_read(
+            self, tiny_corpus, tmp_path, capsys, source):
+        config = to_dict(make_tiny_config())
+        if source == "config":
+            config["train"]["seed"] = -3
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        workdir = tmp_path / "run"
+        seed = ("--seed", -1) if source == "flag" else ()
+        code = run_cli("train", "--corpus", tiny_corpus[0], "--out", workdir / "model.hmic",
+                       "--workdir", workdir, "--config", config_path, *seed)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed must be >= 0" in err
+        assert (f"bad config {config_path}" in err) == (source == "config")
+        assert not (workdir / "feature_cache").exists() and not workdir.exists()
 
     def test_a_train_clip_of_unknown_domain_is_refused_before_training(
             self, tiny_corpus, tmp_path, tiny_config_path, capsys, log_mel_calls):
@@ -670,6 +689,24 @@ class TestEmbeddingCache:
         assert forward_clips == [n_test]  # a corrupt file holds no rows
         assert entry.read_bytes() == intact
 
+    def test_a_file_under_another_keys_name_is_a_miss(self, trained, tmp_path):
+        # Each .emb is a checkpoint-format file whose header digest is its
+        # forward key: a file copied over another key's name holds no rows
+        # for that key, and the rewrite leaves it under its own key.
+        corpus_root, manifest, checkpoint, _ = trained
+        other = make_tiny_config().with_overrides(seed=8)
+        other_checkpoint = tmp_path / "seed8.hmic"
+        run_train(other, corpus_root, other_checkpoint, tmp_path / "train8")
+        fresh = _score(other, other_checkpoint, manifest, tmp_path / "fresh")
+        (own,) = (tmp_path / "fresh" / "feature_cache").glob("*.emb")
+        _score(make_tiny_config(), checkpoint, manifest, tmp_path / "shared")
+        (foreign,) = (tmp_path / "shared" / "feature_cache").glob("*.emb")
+        shutil.copyfile(foreign, foreign.with_name(own.name))
+        assert _score(other, other_checkpoint, manifest, tmp_path / "shared") == fresh
+        assert foreign.with_name(own.name).read_bytes() == own.read_bytes()
+        for emb in (tmp_path / "shared" / "feature_cache").glob("*.emb"):
+            assert load_checkpoint(emb)[2] == emb.stem
+
 
 def _doubled_test_set(spec):
     """``spec`` with twice the test clips in every section."""
@@ -913,7 +950,7 @@ class TestCorpusReadErrors:
                            corpus / "manifest.csv", "--out", out, "--config", tiny_config_path)
             rows = {}
             for emb in (tmp_path / name / "feature_cache").glob("*.emb"):
-                rows.update(pipeline._read_embeddings(emb, make_tiny_config().model.feat_high_dim))
+                rows.update(load_checkpoint(emb)[0])
             return code, out, rows
 
         code, _, true_rows = score("intact")
@@ -1228,6 +1265,30 @@ class TestPipelineCommand:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "holds a corpus of another synth spec" in err
             assert not (workdir / "model.hmic").exists()
+
+    def test_a_corpus_whose_spec_echo_failed_is_regenerated(
+            self, tmp_path, tiny_config_path, capsys, monkeypatch):
+        # The manifest is written last, so a corpus without its spec echo has
+        # no manifest either, and the next run generates it again.
+        workdir = tmp_path / "run"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(make_tiny_spec(seed=5)))
+        real = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.name == "synth_spec.json":
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        args = ("pipeline", "--workdir", workdir, "--spec", spec_path,
+                "--config", tiny_config_path)
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        monkeypatch.setattr(Path, "write_text", real)
+        assert run_cli(*args) == 0 and capsys.readouterr().err == ""
+        assert load_spec(workdir / "corpus" / "synth_spec.json") == make_tiny_spec(seed=5)
+        assert (workdir / "report_agc.json").exists()
 
     def test_seed_means_the_corpus_seed_in_generate_and_pipeline_alike(
             self, tmp_path, tiny_config_path, capsys):

@@ -59,6 +59,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_binary_formats_have_one_home_each():
+    # A module-level bytes constant is a file magic. checkpoint.py owns the
+    # one format of named float64 arrays (checkpoints and embedding caches)
+    # and dsp.py the float32 log-Mel cache; a second format for either would
+    # be a second reader and writer to keep in step.
+    homes = [path.stem for path in PACKAGE
+             for statement in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(statement, (ast.Assign, ast.AnnAssign))
+             and isinstance(statement.value, ast.Constant)
+             and isinstance(statement.value.value, bytes)]
+    assert homes == ["checkpoint", "dsp"]
+
+
 def test_every_setting_is_set_outside_tests():
     # A field of a settings dataclass is passed by keyword somewhere in
     # src/hmic, scripts/ or bench/; one only tests set belongs in a module
