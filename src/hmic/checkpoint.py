@@ -1,5 +1,6 @@
 """Versioned binary file of named float64 tensors, a JSON block and a sha256 digest, used
-for checkpoints and embedding caches; and the dataclass <-> dict codec of configs and specs.
+for checkpoints and embedding caches; and the dataclass <-> dict codec of configs, specs
+and eval reports, which also writes each of them as a whole JSON file.
 
 Layout (little-endian throughout):
   magic "HMICCKPT" | u32 version | 32-byte digest (a config's or a forward key)
@@ -15,6 +16,7 @@ import hashlib
 import json
 import math
 import struct
+import types
 import typing
 from pathlib import Path
 
@@ -40,14 +42,25 @@ def config_digest(config: dict) -> str:
 to_dict = dataclasses.asdict
 
 
+def to_json(obj) -> str:
+    """The indented, key-sorted JSON text of dataclass ``obj``."""
+    return json.dumps(to_dict(obj), indent=2, sort_keys=True)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``to_json(obj)`` to ``path``, whole or not at all."""
+    with replacing(path, "w", encoding="utf-8") as handle:
+        handle.write(to_json(obj))
+
+
 def from_dict(cls, data):
     """Rebuild dataclass ``cls`` from ``to_dict`` output or its JSON round trip.
 
-    Nested dataclasses, ``tuple[...]`` and ``dict[...]`` fields are rebuilt from
-    the type hints. Missing keys take the field defaults; unknown keys and leaf
-    values whose type does not match the hint raise ``TypeError`` at every
-    level. A ``bool`` is not an ``int``; an ``int`` is accepted, unchanged, for
-    a ``float``.
+    Nested dataclasses, ``tuple[...]``, ``dict[...]`` and ``X | None`` fields
+    are rebuilt from the type hints. Missing keys take the field defaults;
+    unknown keys and leaf values whose type does not match the hint raise
+    ``TypeError`` at every level. A ``bool`` is not an ``int``; an ``int`` is
+    accepted, unchanged, for a ``float``.
     """
     if dataclasses.is_dataclass(cls):
         _expect(data, dict, f"an object for {cls.__name__}")
@@ -63,6 +76,9 @@ def from_dict(cls, data):
                 raise TypeError(f"{name}: {exc}") from None
         return cls(**fields)
     origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (kind,) = set(args) - {type(None)}
+        return None if data is None else from_dict(kind, data)
     if origin is tuple:
         _expect(data, (list, tuple), f"a list for {cls}")
         if len(args) == 2 and args[1] is Ellipsis:
@@ -86,8 +102,6 @@ def _expect(value, kind, what: str) -> None:
 def save_checkpoint(
     path: str | Path, tensors: dict[str, np.ndarray], config: dict, digest: str
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     config_blob = json.dumps(config, sort_keys=True).encode("utf-8")
     with replacing(path) as handle:
         handle.write(CHECKPOINT_MAGIC)

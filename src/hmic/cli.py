@@ -7,7 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import SCORING_MODES, RunConfig, load_run_config, save_run_config
+from .checkpoint import write_json
+from .config import SCORING_MODES, RunConfig, load_run_config
 from .datagen import PRESETS, SynthSpec, generate, load_spec
 from .errors import HmicError
 from .pipeline import run_eval, run_pipeline, run_score, run_train
@@ -126,7 +127,7 @@ def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     spec = _load_spec(args)
     if args.save_config:
-        save_run_config(config, args.save_config)
+        write_json(args.save_config, config)
     report, paths = run_pipeline(config, args.workdir, spec)
     for section in report.section_aucs:
         print(f"{section.machine_type} section {section.section}: AUC {section.auc:.4f}")

@@ -78,7 +78,3 @@ def load_run_config(path: str | Path) -> RunConfig:
         return from_dict(RunConfig, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
-
-
-def save_run_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_dict(config), indent=2, sort_keys=True), encoding="utf-8")

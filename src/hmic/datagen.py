@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import from_dict, to_dict
+from .checkpoint import from_dict, to_dict, write_json
 from .dsp import SAMPLE_RATE_HZ, write_wav_mono
 from .errors import HmicError
 from .metadata import ClipMeta, ManifestEntry, ManifestError, format_attributes, write_manifest
@@ -309,18 +309,19 @@ def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
 
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
-    """Write the corpus (WAVs + manifest.csv + the spec echo); returns the manifest path."""
+    """Write the corpus (WAVs + manifest.csv + the spec echo); returns the manifest path.
+    An old manifest is deleted first: a run cut short leaves no manifest over mixed clips."""
     plans = plan_corpus(spec)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.csv"
+    manifest_path.unlink(missing_ok=True)
     entries = []
     for plan in plans:
         filename = f"{plan.meta.clip_id}.wav"
         (out_dir / filename).parent.mkdir(parents=True, exist_ok=True)
         write_wav_mono(out_dir / filename, synthesize_clip(spec, plan))
         entries.append(ManifestEntry(meta=plan.meta, path=filename))
-    (out_dir / "synth_spec.json").write_text(spec_to_json(spec), encoding="utf-8")
-    manifest_path = out_dir / "manifest.csv"
+    write_json(out_dir / "synth_spec.json", spec)
     write_manifest(entries, manifest_path)  # last: a manifest means a whole corpus
     return manifest_path
 
@@ -427,10 +428,6 @@ PRESETS = {"default": default_spec, "shifted": shifted_spec}
 
 
 # --- spec (de)serialization ---------------------------------------------------
-
-
-def spec_to_json(spec: SynthSpec) -> str:
-    return json.dumps(to_dict(spec), indent=2, sort_keys=True)
 
 
 def load_spec(path: str | Path) -> SynthSpec:

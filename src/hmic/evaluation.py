@@ -5,18 +5,17 @@ true-positive) counts. Partial AUC integrates it over false-positive rate
 [0, p] and normalizes by p; AUC is its value at p = 1, where twice the area is
 the exact integer 2 * wins + ties over all (anomalous, normal) pairs, i.e. the
 Mann-Whitney statistic P(anomalous > normal) + 0.5 P(equal). Totals are
-harmonic means over report cells.
+harmonic means over report cells. The report's JSON file is the codec's
+``checkpoint.write_json`` of an ``EvalReport``: its keys are the field names.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import to_dict
 from .errors import HmicError
 from .metadata import write_csv_rows
 
@@ -136,23 +135,6 @@ class EvalReport:
     total_combined: float  # harmonic mean over all AUC and pAUC cells together
     pauc_p: float
     config_digest: str | None = None  # set when evaluated as part of a configured run
-
-    def to_dict(self) -> dict:
-        return {
-            "pauc_p": self.pauc_p,
-            "config_digest": self.config_digest,
-            "cells": [to_dict(c) for c in self.cells],
-            "section_auc": [to_dict(s) for s in self.section_aucs],
-            "machines": self.machine_totals,
-            "total": {
-                "auc": self.total_auc,
-                "pauc": self.total_pauc,
-                "combined": self.total_combined,
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def build_report(

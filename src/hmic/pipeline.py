@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, dsp, scoring
-from .checkpoint import load_checkpoint, save_checkpoint, to_dict
+from .checkpoint import load_checkpoint, save_checkpoint, to_dict, to_json, write_json
 from .config import RunConfig
-from .datagen import SynthSpec, generate, spec_to_json
+from .datagen import SynthSpec, generate
 from .errors import HmicError
 from .evaluation import EvalReport, ScoredClip, build_report, write_report_csv
 from .metadata import (ManifestEntry, assign_labels, build_label_space, read_csv_rows,
@@ -61,11 +61,9 @@ class PipelineError(HmicError, RuntimeError):
 
 
 def _cache_dir(workdir: Path) -> Path:
-    """The feature cache directory, created if absent."""
+    """The feature cache directory; its first write makes it."""
     root = os.environ.get("HMIC_CACHE_DIR")
-    path = Path(root) if root else workdir / "feature_cache"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(root) if root else workdir / "feature_cache"
 
 
 @contextmanager
@@ -178,7 +176,6 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     corpus_dir = Path(corpus_dir)
     checkpoint_path = Path(checkpoint_path)
     workdir = Path(workdir) if workdir else checkpoint_path.parent
-    workdir.mkdir(parents=True, exist_ok=True)
     entries = read_manifest(corpus_dir / "manifest.csv")
     train_entries = [e for e in entries if e.meta.split == "train"]
     if not train_entries:
@@ -327,7 +324,6 @@ def run_score(
                 else:
                     scored[entry.meta.clip_id] = f"{scores[i]:.12g}", int(argmins[i])
 
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out_csv, SCORE_COLUMNS, (
         [e.meta.clip_id, e.meta.section_id, *scored.get(e.meta.clip_id, ("", ""))]
         for e in test_entries))
@@ -394,7 +390,7 @@ def run_eval(
         )
     report = build_report(clips, pauc_p=pauc_p, config_digest=config_digest)
     if out_json is not None:
-        Path(out_json).write_text(report.to_json() + "\n", encoding="utf-8")
+        write_json(out_json, report)
     if out_csv is not None:
         write_report_csv(report, out_csv)
     return report
@@ -411,12 +407,11 @@ def run_pipeline(
     is the one ``spec`` writes; another corpus there is a PipelineError before
     anything is trained."""
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     corpus_dir = workdir / "corpus"
     manifest, spec_file = corpus_dir / "manifest.csv", corpus_dir / "synth_spec.json"
     if not manifest.exists():
         generate(spec, corpus_dir)
-    elif not spec_file.is_file() or spec_file.read_bytes() != spec_to_json(spec).encode():
+    elif not spec_file.is_file() or spec_file.read_bytes() != to_json(spec).encode():
         raise PipelineError(f"{corpus_dir} holds a corpus of another synth spec; "
                             f"use a new --workdir or delete that corpus")
     checkpoint_path = workdir / "model.hmic"

@@ -1,9 +1,8 @@
-import json
-
 import pytest
 
 from hmic import model
-from hmic.config import RunConfig, save_run_config
+from hmic.checkpoint import write_json
+from hmic.config import RunConfig
 from hmic.datagen import (
     AttributeSpec,
     ClipCounts,
@@ -90,5 +89,5 @@ def tiny_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def tiny_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "run.json"
-    save_run_config(make_tiny_config(), path)
+    write_json(path, make_tiny_config())
     return path

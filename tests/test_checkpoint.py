@@ -15,8 +15,9 @@ from hmic.checkpoint import (
     load_checkpoint,
     save_checkpoint,
     to_dict,
+    write_json,
 )
-from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config, save_run_config
+from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config
 from hmic.datagen import AttributeSpec, SynthSpec
 from hmic.metadata import LabelSpace
 from hmic.model import ModelConfig
@@ -121,7 +122,7 @@ class TestRunConfig:
     def test_defaults_are_valid_and_serializable(self, tmp_path):
         config = RunConfig()
         path = tmp_path / "run.json"
-        save_run_config(config, path)
+        write_json(path, config)
         assert load_run_config(path) == config
 
     def test_semantic_digest_ignores_score_time_knobs(self):

@@ -6,20 +6,24 @@ import math
 import shutil
 import tracemalloc
 import wave as wave_module
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmic import dsp, model, pipeline, scoring
-from hmic.checkpoint import from_dict, load_checkpoint, save_checkpoint, to_dict
+from hmic import datagen, dsp, model, pipeline, scoring
+from hmic.checkpoint import (from_dict, load_checkpoint, save_checkpoint, to_dict, to_json,
+                             write_json)
 from hmic.cli import main
-from hmic.config import ConfigError, load_run_config, save_run_config
-from hmic.datagen import generate, load_spec, spec_to_json
+from hmic.config import ConfigError, load_run_config
+from hmic.datagen import generate, load_spec
+from hmic.evaluation import EvalReport
 from hmic.metadata import (LabelSpace, ManifestError, build_label_space, read_manifest,
                            write_manifest)
-from hmic.pipeline import PipelineError, extract_features, read_scores_csv, run_train
+from hmic.pipeline import (PipelineError, extract_features, read_scores_csv, run_pipeline,
+                           run_train)
 
 from conftest import make_tiny_config, make_tiny_spec
 
@@ -40,6 +44,37 @@ def trained(tmp_path_factory, tiny_corpus, tiny_config_path):
     )
     assert code == 0
     return corpus_root, manifest, checkpoint, workdir
+
+
+class _FullDisk:
+    """A file handle whose every write fails with ENOSPC."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device", self.handle.name)
+
+
+@contextmanager
+def _full_disk(prefix: str):
+    """Within the block, writes to a file that ``Path.open`` opened, and whose
+    name starts with ``prefix``, fail with ENOSPC."""
+    real = Path.open
+
+    def opened(path, *args, **kwargs):
+        handle = real(path, *args, **kwargs)
+        return _FullDisk(handle) if path.name.startswith(prefix) else handle
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Path, "open", opened)
+        yield
 
 
 def _absolute_paths(entries, corpus_root):
@@ -113,7 +148,7 @@ class TestGenerate:
         out = tmp_path / "corpus"
         spec_path = tmp_path / "spec.json"
         spec = make_tiny_spec(seed=3)
-        spec_path.write_text(spec_to_json(spec))
+        spec_path.write_text(to_json(spec))
         assert run_cli("generate", "--out", out, "--spec", spec_path) == 0
         entries = read_manifest(out / "manifest.csv")
         assert entries
@@ -129,7 +164,7 @@ class TestGenerate:
     @pytest.mark.parametrize("fault", [*BAD_SPECS, "missing_file"])
     def test_bad_spec_is_one_line_error(self, tmp_path, capsys, fault):
         spec_path = tmp_path / "spec.json"
-        data = json.loads(spec_to_json(make_tiny_spec()))
+        data = json.loads(to_json(make_tiny_spec()))
         if fault != "missing_file":
             BAD_SPECS[fault](data)
             spec_path.write_text(json.dumps(data))
@@ -152,7 +187,7 @@ class TestGenerate:
         # amplitude, AM depth and source noise floor, and an anomaly detunes
         # every tone: an echo written before those settings went names the key
         # to delete
-        data = json.loads(spec_to_json(make_tiny_spec()))
+        data = json.loads(to_json(make_tiny_spec()))
         *parents, key = dotted_key.split(".")
         node = data
         for name in parents:
@@ -253,7 +288,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(victim.meta.clip_id) in err and "'unknown'" in err
-        assert log_mel_calls == [] and list(workdir.iterdir()) == []
+        assert log_mel_calls == [] and not workdir.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--scoring", "dc"),
@@ -405,8 +440,40 @@ class TestEval:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert len(report["cells"]) == 4  # 2 sections x 2 domains
-        assert 0 < report["total"]["combined"] <= 1
+        assert 0 < report["total_combined"] <= 1
         assert csv_path.exists()
+
+    @pytest.mark.parametrize("digest", [True, False], ids=["digest", "no_digest"])
+    def test_the_report_json_round_trips_through_the_codec(self, scores_csv, tmp_path,
+                                                           digest):
+        manifest, scores = scores_csv
+        path = tmp_path / "report.json"
+        config_digest = make_tiny_config().semantic_digest() if digest else None
+        report = pipeline.run_eval(scores, manifest, path, pauc_p=0.1,
+                                   config_digest=config_digest)
+        assert report.config_digest == config_digest
+        assert from_dict(EvalReport, json.loads(path.read_text())) == report
+
+    def test_a_failed_report_write_keeps_the_old_report(self, scores_csv, tmp_path, capsys):
+        manifest, scores = scores_csv
+        report_path = tmp_path / "report.json"
+        args = ["eval", "--scores", scores, "--manifest", manifest, "--out", report_path]
+        assert run_cli(*args) == 0
+        old, names = report_path.read_bytes(), sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        with _full_disk("report.json"):
+            assert run_cli(*args, "--pauc-p", "0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "No space left" in err
+        assert report_path.read_bytes() == old and sorted(tmp_path.iterdir()) == names
+
+    def test_outputs_go_into_directories_made_as_needed(self, scores_csv, tmp_path):
+        manifest, scores = scores_csv
+        report_path, csv_path = tmp_path / "new" / "report.json", tmp_path / "csv" / "r.csv"
+        assert run_cli("eval", "--scores", scores, "--manifest", manifest,
+                       "--out", report_path, "--csv", csv_path) == 0
+        assert json.loads(report_path.read_text())["total_combined"] > 0
+        assert csv_path.read_text().startswith("machine_type,")
 
     def test_malformed_scores_row_is_rejected(self, scores_csv, tmp_path):
         manifest, scores = scores_csv
@@ -469,7 +536,7 @@ class TestEval:
                 "--out", tmp_path / "report.json"]
         if config_p is not None:
             config_path = tmp_path / "run.json"
-            save_run_config(replace(make_tiny_config(), pauc_p=config_p), config_path)
+            write_json(config_path, replace(make_tiny_config(), pauc_p=config_p))
             args += ["--config", config_path]
         if flag_p is not None:
             args += ["--pauc-p", flag_p]
@@ -1233,7 +1300,7 @@ class TestPipelineCommand:
     def test_end_to_end_tiny(self, tmp_path, tiny_config_path):
         workdir = tmp_path / "run"
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec_to_json(make_tiny_spec(seed=5)))
+        spec_path.write_text(to_json(make_tiny_spec(seed=5)))
         code = run_cli(
             "pipeline", "--workdir", workdir, "--spec", spec_path,
             "--config", tiny_config_path,
@@ -1242,7 +1309,15 @@ class TestPipelineCommand:
         assert (workdir / "model.hmic").exists()
         assert (workdir / "scores_agc.csv").exists()
         report = json.loads((workdir / "report_agc.json").read_text())
-        assert report["total"]["combined"] > 0
+        assert report["total_combined"] > 0
+
+    def test_save_config_goes_into_a_directory_made_as_needed(self, tmp_path,
+                                                              tiny_config_path):
+        saved = tmp_path / "new" / "run.json"
+        write_json(tmp_path / "spec.json", make_tiny_spec(seed=5))
+        assert run_cli("pipeline", "--workdir", tmp_path / "run", "--spec", tmp_path / "spec.json",
+                       "--config", tiny_config_path, "--save-config", saved) == 0
+        assert saved.read_text() == to_json(make_tiny_config())
 
     @pytest.mark.parametrize("existing", ["same_spec", "other_seed", "no_spec_echo"])
     def test_an_existing_corpus_is_reused_only_under_its_own_spec(
@@ -1252,7 +1327,7 @@ class TestPipelineCommand:
         if existing == "no_spec_echo":
             (workdir / "corpus" / "synth_spec.json").unlink()
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec_to_json(make_tiny_spec(seed=6 if existing == "other_seed"
+        spec_path.write_text(to_json(make_tiny_spec(seed=6 if existing == "other_seed"
                                                          else 5)))
         code = run_cli("pipeline", "--workdir", workdir, "--spec", spec_path,
                        "--config", tiny_config_path)
@@ -1267,34 +1342,53 @@ class TestPipelineCommand:
             assert not (workdir / "model.hmic").exists()
 
     def test_a_corpus_whose_spec_echo_failed_is_regenerated(
-            self, tmp_path, tiny_config_path, capsys, monkeypatch):
+            self, tmp_path, tiny_config_path, capsys):
         # The manifest is written last, so a corpus without its spec echo has
         # no manifest either, and the next run generates it again.
         workdir = tmp_path / "run"
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec_to_json(make_tiny_spec(seed=5)))
-        real = Path.write_text
-
-        def full_disk(path, *args, **kwargs):
-            if path.name == "synth_spec.json":
-                raise OSError(errno.ENOSPC, "No space left on device", str(path))
-            return real(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", full_disk)
+        spec_path.write_text(to_json(make_tiny_spec(seed=5)))
         args = ("pipeline", "--workdir", workdir, "--spec", spec_path,
                 "--config", tiny_config_path)
-        assert run_cli(*args) == 2
+        with _full_disk("synth_spec.json"):
+            assert run_cli(*args) == 2
         assert capsys.readouterr().err.count("\n") == 1
-        monkeypatch.setattr(Path, "write_text", real)
         assert run_cli(*args) == 0 and capsys.readouterr().err == ""
         assert load_spec(workdir / "corpus" / "synth_spec.json") == make_tiny_spec(seed=5)
         assert (workdir / "report_agc.json").exists()
+
+    def test_a_corpus_cut_short_over_another_is_regenerated(self, tmp_path, monkeypatch):
+        # generate deletes the old manifest before its first WAV, so a run cut
+        # short leaves no manifest that vouches for a mix of two corpora.
+        workdir = tmp_path / "run"
+        corpus = workdir / "corpus"
+        generate(make_tiny_spec(seed=5), corpus)
+        real, written = datagen.write_wav_mono, []
+
+        def dies_after_five(path, samples):
+            if len(written) == 5:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            written.append(path)
+            real(path, samples)
+
+        monkeypatch.setattr(datagen, "write_wav_mono", dies_after_five)
+        with pytest.raises(OSError):
+            generate(make_tiny_spec(seed=6), corpus)
+        monkeypatch.setattr(datagen, "write_wav_mono", real)
+        run_pipeline(make_tiny_config(), workdir, make_tiny_spec(seed=5))
+        fresh = generate(make_tiny_spec(seed=5), tmp_path / "fresh").parent
+
+        def clips(root):
+            return {path.relative_to(root): path.read_bytes() for path in root.rglob("*.wav")}
+
+        assert len(written) == 5 and clips(corpus) == clips(fresh)
+        assert (corpus / "manifest.csv").read_bytes() == (fresh / "manifest.csv").read_bytes()
 
     def test_seed_means_the_corpus_seed_in_generate_and_pipeline_alike(
             self, tmp_path, tiny_config_path, capsys):
         workdir = tmp_path / "run"
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec_to_json(make_tiny_spec(seed=5)))
+        spec_path.write_text(to_json(make_tiny_spec(seed=5)))
         assert run_cli("generate", "--spec", spec_path, "--seed", "9",
                        "--out", workdir / "corpus") == 0
         manifest = workdir / "corpus" / "manifest.csv"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmic import datagen
-from hmic.checkpoint import from_dict, to_dict
+from hmic.checkpoint import from_dict, to_dict, to_json
 from hmic.datagen import (
     AnomalySpec,
     AttributeSpec,
@@ -22,7 +22,6 @@ from hmic.datagen import (
     load_spec,
     plan_corpus,
     shifted_spec,
-    spec_to_json,
     synthesize_clip,
 )
 from hmic.dsp import SAMPLE_RATE_HZ, log_mel, read_wav_mono
@@ -276,7 +275,7 @@ class TestSpecSerialization:
     def test_json_file_roundtrip(self, tmp_path):
         spec = default_spec(seed=5)
         path = tmp_path / "spec.json"
-        path.write_text(spec_to_json(spec))
+        path.write_text(to_json(spec))
         assert load_spec(path) == spec
 
     @settings(max_examples=60, deadline=None)
@@ -293,7 +292,7 @@ class TestSpecSerialization:
         ids=["default", "shifted"],
     )
     def test_preset_json_is_pinned(self, preset, sha256):
-        assert hashlib.sha256(spec_to_json(preset(2022)).encode("utf-8")).hexdigest() == sha256
+        assert hashlib.sha256(to_json(preset(2022)).encode("utf-8")).hexdigest() == sha256
 
     def test_anomaly_defaults(self):
         anomaly = AnomalySpec()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmic.checkpoint import to_dict
 from hmic.evaluation import (
     ScoredClip,
     UndefinedMetricError,
@@ -225,8 +226,9 @@ class TestBuildReport:
 
     def test_json_and_csv_outputs(self, tmp_path):
         report = build_report(self.make_clips(), pauc_p=0.1)
-        data = report.to_dict()
-        assert {"cells", "machines", "total", "section_auc", "pauc_p"} <= set(data)
+        data = to_dict(report)
+        assert {"cells", "machine_totals", "total_auc", "total_pauc", "total_combined",
+                "section_aucs", "pauc_p", "config_digest"} <= set(data)
         assert len(data["cells"]) == 8
         path = tmp_path / "report.csv"
         write_report_csv(report, path)

@@ -72,6 +72,17 @@ def test_binary_formats_have_one_home_each():
     assert homes == ["checkpoint", "dsp"]
 
 
+def test_no_module_writes_a_file_in_place():
+    # Path.write_text and Path.write_bytes truncate their target before they
+    # write, so a failed write destroys the old file. The package writes each
+    # file through atomic.replacing instead; only the WAVs are written in
+    # place, and the manifest, written last, vouches for them.
+    in_place = [f"{path.stem}:{node.lineno}" for path in PACKAGE
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes")]
+    assert in_place == []
+
+
 def test_every_setting_is_set_outside_tests():
     # A field of a settings dataclass is passed by keyword somewhere in
     # src/hmic, scripts/ or bench/; one only tests set belongs in a module
