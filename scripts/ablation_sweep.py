@@ -22,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hmic.config import RunConfig
-from hmic.datagen import PRESETS, generate
+from hmic.datagen import PRESETS, SynthSpec, generate
 from hmic.model import ModelConfig
 from hmic.pipeline import run_eval, run_score, run_train
 
@@ -45,7 +45,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, required=True)
     parser.add_argument("--preset", choices=sorted(PRESETS), default="shifted")
-    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--seed", type=int, default=SynthSpec.seed)
     parser.add_argument(
         "--weights", type=float, nargs="+", default=[0.0, 0.25, 0.5, 0.75, 1.0]
     )

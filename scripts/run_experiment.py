@@ -6,7 +6,7 @@ corpus, scores each trained model with both centre layouts, and prints a
 small results table (AUC / pAUC harmonic-mean totals).
 
 Usage:
-    python scripts/run_experiment.py --workdir /tmp/hmic_exp [--seed 2022]
+    python scripts/run_experiment.py --workdir /tmp/hmic_exp [--seed N] [--jobs N]
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hmic.config import RunConfig
-from hmic.datagen import default_spec, shifted_spec
+from hmic.datagen import SynthSpec, default_spec, shifted_spec
 from hmic.pipeline import run_eval, run_pipeline, run_score
 
 
@@ -42,8 +42,8 @@ def run_corpus(name, spec, config, workdir):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=2022, help="corpus seed")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=SynthSpec.seed, help="corpus seed")
+    parser.add_argument("--jobs", type=int)
     args = parser.parse_args()
 
     config = RunConfig().with_overrides(jobs=args.jobs)

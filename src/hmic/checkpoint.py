@@ -29,7 +29,7 @@ CHECKPOINT_MAGIC = b"HMICCKPT"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(HmicError, ValueError):
+class CheckpointError(HmicError):
     pass
 
 
@@ -83,7 +83,9 @@ def from_dict(cls, data):
         _expect(data, (list, tuple), f"a list for {cls}")
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(from_dict(args[0], item) for item in data)
-        return tuple(from_dict(arg, item) for arg, item in zip(args, data, strict=True))
+        if len(data) != len(args):
+            raise TypeError(f"expected {len(args)} items for {cls}, got {len(data)}")
+        return tuple(from_dict(arg, item) for arg, item in zip(args, data))
     if origin is dict:
         _expect(data, dict, f"an object for {cls}")
         key_type, value_type = args

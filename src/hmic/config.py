@@ -25,10 +25,6 @@ SCORING_MODES = ("agc", "dc")
 _SCORE_TIME_FIELDS = ("scoring_mode", "pauc_p", "jobs")
 
 
-class ConfigError(HmicError, ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -39,11 +35,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.scoring_mode not in SCORING_MODES:
-            raise ConfigError(f"unknown scoring mode {self.scoring_mode!r}")
+            raise HmicError(f"unknown scoring mode {self.scoring_mode!r}")
         if not 0.0 < self.pauc_p <= 1.0:
-            raise ConfigError(f"pauc_p must be in (0, 1], got {self.pauc_p}")
+            raise HmicError(f"pauc_p must be in (0, 1], got {self.pauc_p}")
         if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            raise HmicError(f"jobs must be >= 1, got {self.jobs}")
 
     def semantic_digest(self) -> str:
         """Digest of the sub-config that determines what a trained checkpoint contains."""
@@ -73,8 +69,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise HmicError(f"cannot read config {path}: {exc}") from exc
     try:
         return from_dict(RunConfig, data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+        raise HmicError(f"bad config {path}: {exc}") from exc

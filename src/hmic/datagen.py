@@ -32,10 +32,7 @@ AM_DEPTH = 0.5  # depth of the section's slow amplitude modulation
 NOISE_AMP_SOURCE = 0.004  # the source domain's noise floor; the spec sets the target's
 _BURST_LEN = int(0.004 * SAMPLE_RATE_HZ)  # samples in one 4 ms anomaly click
 MAX_CLIP_SECONDS = 60.0  # 6x the paper's clips; rendering one holds ~31 MB of float64
-
-
-class SynthSpecError(HmicError, ValueError):
-    pass
+MAX_CLIPS = 100_000  # ~4x DCASE 2022 Task 2's 25,200 dev clips; a plan holds ~660 B/clip
 
 
 @dataclass(frozen=True)
@@ -104,55 +101,55 @@ class SynthSpec:
         return int(round(self.clip_seconds * SAMPLE_RATE_HZ))
 
     def validate(self) -> None:
-        """Raise SynthSpecError on a spec that cannot render, or whose corpus a
+        """Raise HmicError on a spec that cannot render, or whose corpus a
         later stage would refuse."""
         for path, value in _leaves(to_dict(self)):
             # "not <=" holds for NaN too; an int past the float range would
             # overflow where it meets a float
             if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-                raise SynthSpecError(f"{path} must be finite and within the float range")
+                raise HmicError(f"{path} must be finite and within the float range")
         if self.seed < 0:
-            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
+            raise HmicError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples <= _BURST_LEN or self.clip_seconds > MAX_CLIP_SECONDS:
-            raise SynthSpecError(f"clip_seconds must exceed one 4 ms click and be at most "
-                                 f"{MAX_CLIP_SECONDS:g}, got {self.clip_seconds}")
+            raise HmicError(f"clip_seconds must exceed one 4 ms click and be at most "
+                            f"{MAX_CLIP_SECONDS:g}, got {self.clip_seconds}")
         if self.anomaly.clicks_per_second > SAMPLE_RATE_HZ:
-            raise SynthSpecError(f"anomaly.clicks_per_second must be <= {SAMPLE_RATE_HZ}, "
-                                 f"got {self.anomaly.clicks_per_second}")
+            raise HmicError(f"anomaly.clicks_per_second must be <= {SAMPLE_RATE_HZ}, "
+                            f"got {self.anomaly.clicks_per_second}")
         if not self.machines:
-            raise SynthSpecError("spec has no machine types")
+            raise HmicError("spec has no machine types")
         _distinct("machine names", [machine.name for machine in self.machines])
         for machine in self.machines:
-            if machine.name in ("", "..") or "/" in machine.name:
-                raise SynthSpecError(f"machine name {machine.name!r} is no directory in the corpus")
+            if machine.name in ("", "..") or "/" in machine.name or "\0" in machine.name:
+                raise HmicError(f"machine name {machine.name!r} is no directory in the corpus")
             if not machine.sections:
-                raise SynthSpecError(f"{machine.name} has no sections")
+                raise HmicError(f"{machine.name} has no sections")
             _distinct(f"{machine.name} section ids", [s.section_id for s in machine.sections])
             for section in machine.sections:
                 where = f"{machine.name}/section {section.section_id}"
                 if section.section_id < 0:
-                    raise SynthSpecError(f"{where}: section id must be >= 0")
+                    raise HmicError(f"{where}: section id must be >= 0")
                 for name, value in vars(section.counts).items():
                     if value <= 0:
-                        raise SynthSpecError(f"{where}: {name} must be > 0")
+                        raise HmicError(f"{where}: {name} must be > 0")
                 if not section.attributes:
-                    raise SynthSpecError(f"{where} has no attributes")
+                    raise HmicError(f"{where} has no attributes")
                 _distinct(f"{where} attribute names", [attr.name for attr in section.attributes])
                 for attr in section.attributes:
                     if not attr.source_values:
-                        raise SynthSpecError(f"{where}: {attr.name} has no source values")
+                        raise HmicError(f"{where}: {attr.name} has no source values")
                     values = attr.source_values + attr.target_values
                     for token in (attr.name, *values):
-                        if "/" in token:  # the token is part of the clip's file name
-                            raise SynthSpecError(f"{where}: attribute token {token!r} holds a '/'")
+                        if "/" in token or "\0" in token:  # part of the clip's file name
+                            raise HmicError(f"{where}: attribute token {token!r} holds '/' or NUL")
                     try:  # the manifest's attribute column cannot hold its separators
                         format_attributes(tuple((attr.name, value) for value in values))
                     except ManifestError as exc:
-                        raise SynthSpecError(f"{where}: {exc}") from None
+                        raise HmicError(f"{where}: {exc}") from None
                     for value in set(values):
                         tones = attr.tones_hz.get(value)
                         if not tones:
-                            raise SynthSpecError(f"{where}: no tones for {attr.name}={value}")
+                            raise HmicError(f"{where}: no tones for {attr.name}={value}")
                         # a tone moves up by at most its jitter bound and, in an
                         # anomaly, the detune; neither moves it up when negative.
                         # 2 ** -x underflows to 0 where 2 ** x would overflow.
@@ -160,8 +157,11 @@ class SynthSpec:
                         cents += max(self.tone_jitter_cents, 0.0) * abs(attr.jitter_scale(value))
                         top = max(abs(freq) for freq in tones)
                         if top >= SAMPLE_RATE_HZ / 2.0 * 2.0 ** (-cents / 1200.0):
-                            raise SynthSpecError(f"{where}: tone {top} Hz (detuned) "
-                                                 f"exceeds Nyquist {SAMPLE_RATE_HZ / 2.0} Hz")
+                            raise HmicError(f"{where}: tone {top} Hz (detuned) "
+                                            f"exceeds Nyquist {SAMPLE_RATE_HZ / 2.0} Hz")
+        n_clips = sum(sum(vars(s.counts).values()) for m in self.machines for s in m.sections)
+        if n_clips > MAX_CLIPS:
+            raise HmicError(f"spec holds {n_clips} clips, more than {MAX_CLIPS}")
 
 
 def _leaves(node, path=""):
@@ -179,7 +179,7 @@ def _leaves(node, path=""):
 
 def _distinct(what: str, items: list) -> None:
     if len(set(items)) != len(items):
-        raise SynthSpecError(f"{what} must be distinct, got {items}")
+        raise HmicError(f"{what} must be distinct, got {items}")
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def synthesize_clip(spec: SynthSpec, plan: ClipPlan) -> np.ndarray:
             signal[start : start + _BURST_LEN] += spec.anomaly.click_amp * envelope * noise_burst
     peak = np.max(np.abs(signal))
     if peak > 0.99:
-        raise SynthSpecError(
+        raise HmicError(
             f"{plan.meta.clip_id}: rendered peak {peak:.3f} too close to full scale; "
             f"lower click_amp or noise_amp_target, or use fewer tones"
         )
@@ -356,7 +356,7 @@ _SHIFTED_SPD_TONES = {
 }
 
 
-def default_spec(seed: int = 2022) -> SynthSpec:
+def default_spec(seed: int = SynthSpec.seed) -> SynthSpec:
     """Three sections, two attributes with two values each (4 AGs per section).
 
     The target domain shares the source attribute values but sits on a higher
@@ -372,7 +372,7 @@ def default_spec(seed: int = 2022) -> SynthSpec:
     )
 
 
-def shifted_spec(seed: int = 2022) -> SynthSpec:
+def shifted_spec(seed: int = SynthSpec.seed) -> SynthSpec:
     """Attribute-shifted variant: the target domain swaps the spd value set for
     an unseen operating point (new tones) and raises the noise floor.
 
@@ -434,4 +434,4 @@ def load_spec(path: str | Path) -> SynthSpec:
     try:
         return from_dict(SynthSpec, json.loads(Path(path).read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SynthSpecError(f"bad synth spec {path}: {exc}") from exc
+        raise HmicError(f"bad synth spec {path}: {exc}") from exc

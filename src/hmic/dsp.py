@@ -50,7 +50,7 @@ _HANN_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_SIZE) / FRAME_SI
 _HANN_WINDOW.flags.writeable = False
 
 
-class DspError(HmicError, ValueError):
+class DspError(HmicError):
     """Invalid audio input."""
 
 

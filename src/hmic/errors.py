@@ -1,9 +1,10 @@
-"""The common base of every error hmic raises on bad input or a failed stage."""
+"""The one error class of every expected failure: bad input or a failed stage.
+
+A subclass exists only where some code catches it by its own type. HmicError
+is a ValueError, so a check that catches ValueError around a call catches the
+HmicError that call raises too.
+"""
 
 
-class HmicError(Exception):
-    """An expected failure: the CLI reports it as one ``error:`` line and exits 2.
-
-    Each subclass also keeps a built-in base (``ValueError``, ``KeyError``,
-    ``RuntimeError``), so callers that catch those still work.
-    """
+class HmicError(ValueError):
+    """An expected failure: the CLI reports it as one ``error:`` line and exits 2."""

@@ -20,7 +20,7 @@ from .errors import HmicError
 from .metadata import write_csv_rows
 
 
-class UndefinedMetricError(HmicError, ValueError):
+class UndefinedMetricError(HmicError):
     """Raised when a metric is requested on degenerate input."""
 
 

@@ -31,15 +31,7 @@ MANIFEST_COLUMNS = (
 )
 
 
-class LabelSpaceError(HmicError, ValueError):
-    """A label space cannot be built from the given clips."""
-
-
-class UnknownLabelError(HmicError, KeyError):
-    """A clip's section or attribute combination is absent from the label space."""
-
-
-class ManifestError(HmicError, ValueError):
+class ManifestError(HmicError):
     """A manifest CSV is malformed."""
 
 
@@ -91,7 +83,7 @@ class ClipMeta:
 class LabelSpace:
     """Integer label assignments for one machine type.
 
-    ``sections`` and ``groups`` are strictly increasing (LabelSpaceError
+    ``sections`` and ``groups`` are strictly increasing (HmicError
     otherwise), and a label is a key's position: section ``sections[i]`` has
     label ``i`` and group ``groups[j]`` label ``j``. Instances are read-only
     and safe to share across workers.
@@ -105,8 +97,8 @@ class LabelSpace:
         for name, keys in (("sections", self.sections), ("groups", self.groups)):
             for a, b in zip(keys, keys[1:]):
                 if a >= b:
-                    raise LabelSpaceError(f"{self.machine_type}: {name} must be strictly "
-                                          f"increasing, got {a!r} before {b!r}")
+                    raise HmicError(f"{self.machine_type}: {name} must be strictly "
+                                    f"increasing, got {a!r} before {b!r}")
 
     @property
     def n_sections(self) -> int:
@@ -125,15 +117,15 @@ def build_label_space(clips: list[ClipMeta], machine_type: str) -> LabelSpace:
     yields the identical space.
     """
     if not clips:
-        raise LabelSpaceError("cannot build a label space from zero clips")
+        raise HmicError("cannot build a label space from zero clips")
     for clip in clips:
         if clip.machine_type != machine_type:
-            raise LabelSpaceError(
+            raise HmicError(
                 f"mixed machine types: expected {machine_type!r}, "
                 f"got {clip.machine_type!r} for {clip.clip_id!r}"
             )
         if clip.split != "train":
-            raise LabelSpaceError(
+            raise HmicError(
                 f"label spaces are built from training clips only; "
                 f"{clip.clip_id!r} has split {clip.split!r}"
             )
@@ -146,13 +138,13 @@ def assign_labels(clip: ClipMeta, space: LabelSpace) -> tuple[int, int]:
     try:
         section_label = space.sections.index(clip.section_id)
     except ValueError:
-        raise UnknownLabelError(
+        raise HmicError(
             f"section {clip.section_id} not in label space for {space.machine_type!r}"
         ) from None
     try:
         group_label = space.groups.index(clip.group_key())
     except ValueError:
-        raise UnknownLabelError(
+        raise HmicError(
             f"attribute combination {clip.attributes!r} unseen under "
             f"section {clip.section_id}"
         ) from None

@@ -39,10 +39,6 @@ _CHUNK_PIXELS = 100_000
 NET_DTYPE = np.float32
 
 
-class ModelError(HmicError, ValueError):
-    """Invalid model configuration or input shape."""
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     channels: tuple[int, int, int] = (8, 16, 64)
@@ -53,10 +49,10 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.id_loss_weight <= 1.0:
-            raise ModelError(f"id_loss_weight must be in [0, 1], got {self.id_loss_weight}")
+            raise HmicError(f"id_loss_weight must be in [0, 1], got {self.id_loss_weight}")
         if min(self.channels) < 1 or self.head_channels < 1:
-            raise ModelError(f"channels {self.channels} and head_channels {self.head_channels} "
-                             "must be >= 1")
+            raise HmicError(f"channels {self.channels} and head_channels {self.head_channels} "
+                            "must be >= 1")
 
     @property
     def feat_low_dim(self) -> int:
@@ -94,7 +90,7 @@ def init_params(
 ) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights and biases; unit gains."""
     if n_sections < 1 or n_groups < 1:
-        raise ModelError(f"need >= 1 section and group, got {n_sections}, {n_groups}")
+        raise HmicError(f"need >= 1 section and group, got {n_sections}, {n_groups}")
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
@@ -122,10 +118,10 @@ def init_params(
 def _as_batch(x: np.ndarray, dtype) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
     if x.ndim != 4 or x.shape[1] != 1:
-        raise ModelError(f"expected (B, 1, H, W) input, got shape {x.shape}")
+        raise HmicError(f"expected (B, 1, H, W) input, got shape {x.shape}")
     n_pools = 3
     if x.shape[2] < 2**n_pools or x.shape[3] < 2**n_pools:
-        raise ModelError(f"input {x.shape[2]}x{x.shape[3]} too small for {n_pools} pool stages")
+        raise HmicError(f"input {x.shape[2]}x{x.shape[3]} too small for {n_pools} pool stages")
     return x
 
 
@@ -215,10 +211,10 @@ def loss_and_grads(
     n_clips = x.shape[0]
     labels_id, labels_ag = np.asarray(labels_id), np.asarray(labels_ag)
     if n_clips == 0:
-        raise ModelError("cannot take the loss of an empty batch")
+        raise HmicError("cannot take the loss of an empty batch")
     if labels_id.shape != (n_clips,) or labels_ag.shape != (n_clips,):
-        raise ModelError(f"label shapes {labels_id.shape} and {labels_ag.shape} "
-                         f"do not match a batch of {n_clips}")
+        raise HmicError(f"label shapes {labels_id.shape} and {labels_ag.shape} "
+                        f"do not match a batch of {n_clips}")
     weight = params.config.id_loss_weight
 
     loss_id = loss_ag = 0.0

@@ -56,10 +56,6 @@ from .training import train, write_training_log
 SCORE_COLUMNS = ("clip_id", "section", "score", "argmin_group")
 
 
-class PipelineError(HmicError, RuntimeError):
-    pass
-
-
 def _cache_dir(workdir: Path) -> Path:
     """The feature cache directory; its first write makes it."""
     root = os.environ.get("HMIC_CACHE_DIR")
@@ -102,11 +98,14 @@ def extract_features(entries: list[ManifestEntry], corpus_root: Path, cache_dir:
 
 
 def _feature_shape(shapes) -> tuple[int, int]:
-    """The (H, W) that every one of a machine's clip ``shapes`` is."""
-    shapes = set(shapes)
-    if len(shapes) != 1:
-        raise PipelineError(f"clips disagree on feature shape: {sorted(shapes)}")
-    return shapes.pop()
+    """The (H, W) that every one of a machine's clips has; ``shapes`` yields
+    (clip_id, shape) pairs. The first clip of another shape is named."""
+    (first_id, first), *rest = shapes
+    for clip_id, shape in rest:
+        if shape != first:
+            raise HmicError(f"clips disagree on feature shape: {clip_id!r} is {shape}, "
+                            f"{first_id!r} is {first}")
+    return first
 
 
 def _stack_inputs(entries, features, shape) -> np.ndarray:
@@ -141,7 +140,8 @@ def _embeddings(params, entries, corpus_root, cache_dir, map_) -> np.ndarray:
     truncated or garbage file, or one whose digest is another key's, counts
     as empty. When two processes add rows at once, the last rename wins and
     the other's rows are misses next time."""
-    shape = _feature_shape(dsp.log_mel_shape(corpus_root / e.path) for e in entries)
+    shape = _feature_shape((e.meta.clip_id, dsp.log_mel_shape(corpus_root / e.path))
+                           for e in entries)
     key = _forward_key(params)
     path = cache_dir / f"{key}.emb"
     try:  # via the module: bench/layers.py times pipeline's names as checkpoint I/O
@@ -179,16 +179,16 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     entries = read_manifest(corpus_dir / "manifest.csv")
     train_entries = [e for e in entries if e.meta.split == "train"]
     if not train_entries:
-        raise PipelineError("manifest contains no training clips")
+        raise HmicError("manifest contains no training clips")
 
     machines = sorted({e.meta.machine_type for e in train_entries})
     for machine in machines:
         if "/" in machine:
-            raise PipelineError(f"machine type {machine!r} must not contain '/'")
+            raise HmicError(f"machine type {machine!r} must not contain '/'")
     for e in train_entries:  # fit_dc needs each clip's domain centre
         if e.meta.domain not in scoring.DOMAIN_INDEX:
-            raise PipelineError(f"training clip {e.meta.clip_id!r} has domain "
-                                f"{e.meta.domain!r}; it must be source or target")
+            raise HmicError(f"training clip {e.meta.clip_id!r} has domain "
+                            f"{e.meta.domain!r}; it must be source or target")
 
     with _mapper(config.jobs) as map_:
         extracted = extract_features(train_entries, corpus_dir, _cache_dir(workdir), map_)
@@ -198,7 +198,7 @@ def run_train(config: RunConfig, corpus_dir: str | Path, checkpoint_path: str | 
     for machine in machines:
         own = [e for e in train_entries if e.meta.machine_type == machine]
         space = build_label_space([e.meta for e in own], machine)
-        shape = _feature_shape(features[e.meta.clip_id].shape for e in own)
+        shape = _feature_shape((e.meta.clip_id, features[e.meta.clip_id].shape) for e in own)
         inputs = _stack_inputs(own, features, shape)
         pairs = [assign_labels(e.meta, space) for e in own]
         labels_id = np.array([p[0] for p in pairs])
@@ -240,19 +240,19 @@ def _params_from_checkpoint(tensors, machine: str, model_config: ModelConfig) ->
     try:
         (n_sections,), (n_groups,) = found["cls_id.b"], found["cls_ag.b"]
         layout = init_params(model_config, n_sections, n_groups, np.random.default_rng(0))
-    except (KeyError, ValueError):  # ModelError is a ValueError
-        raise PipelineError(f"{prefix} has no usable cls_id.b / cls_ag.b tensors") from None
+    except (KeyError, ValueError):  # init_params raises HmicError, a ValueError
+        raise HmicError(f"{prefix} has no usable cls_id.b / cls_ag.b tensors") from None
     expected = {name: value.shape for name, value in layout.tensors.items()}
     if found != expected:
-        raise PipelineError(f"{prefix} tensors do not match the model config: checkpoint has "
-                            f"{sorted(found.items() - expected.items())}, config lays out "
-                            f"{sorted(expected.items() - found.items())}")
+        raise HmicError(f"{prefix} tensors do not match the model config: checkpoint has "
+                        f"{sorted(found.items() - expected.items())}, config lays out "
+                        f"{sorted(expected.items() - found.items())}")
     with np.errstate(over="ignore"):  # a weight past the NET_DTYPE range becomes inf
         params = ModelParams(tensors=own, config=model_config).astype(NET_DTYPE)
     for name in sorted(params.tensors):
         if not np.all(np.isfinite(params.tensors[name])):
-            raise PipelineError(f"{prefix}{name} holds values that are not finite in "
-                                f"{np.dtype(NET_DTYPE)}")
+            raise HmicError(f"{prefix}{name} holds values that are not finite in "
+                            f"{np.dtype(NET_DTYPE)}")
     return params
 
 
@@ -279,7 +279,7 @@ def run_score(
     workdir = Path(workdir) if workdir else out_csv.parent
     tensors, _, digest = load_checkpoint(checkpoint_path)
     if digest != config.semantic_digest():
-        raise PipelineError(
+        raise HmicError(
             f"checkpoint digest {digest[:12]} does not match the current config "
             f"{config.semantic_digest()[:12]}; retrain or fix the config"
         )
@@ -294,13 +294,13 @@ def run_score(
         widths = {group.centre.shape[0] for groups in models[machine].groups_by_section.values()
                   for group in groups}
         if widths != {config.model.feat_high_dim}:
-            raise PipelineError(f"{machine}/{config.scoring_mode} centres have width "
-                                f"{sorted(widths)}; the model embeds {config.model.feat_high_dim}")
+            raise HmicError(f"{machine}/{config.scoring_mode} centres have width "
+                            f"{sorted(widths)}; the model embeds {config.model.feat_high_dim}")
 
     entries = read_manifest(manifest_path)
     test_entries = [e for e in entries if e.meta.split == "test"]
     if not test_entries:
-        raise PipelineError("manifest contains no test clips")
+        raise HmicError("manifest contains no test clips")
     corpus_root = manifest_path.parent
     cache_dir = _cache_dir(workdir)
 
@@ -335,19 +335,19 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
     scores), unparsable or non-finite scores and a clip_id that appears twice."""
     path = Path(path)
     scores: dict[str, float] = {}
-    for row_num, row in read_csv_rows(path, SCORE_COLUMNS, "scores", PipelineError):
+    for row_num, row in read_csv_rows(path, SCORE_COLUMNS, "scores", HmicError):
         clip_id, _section, score, _argmin = row
         if score == "":
-            raise PipelineError(f"{path}: clip {clip_id!r} has an error row; "
-                                f"re-run scoring successfully before eval")
+            raise HmicError(f"{path}: clip {clip_id!r} has an error row; "
+                            f"re-run scoring successfully before eval")
         if clip_id in scores:
-            raise PipelineError(f"{path}:{row_num}: clip {clip_id!r} scored twice")
+            raise HmicError(f"{path}:{row_num}: clip {clip_id!r} scored twice")
         try:
             value = float(score)
         except ValueError:
-            raise PipelineError(f"{path}:{row_num}: score {score!r} is not a number") from None
+            raise HmicError(f"{path}:{row_num}: score {score!r} is not a number") from None
         if not math.isfinite(value):
-            raise PipelineError(f"{path}:{row_num}: score {score!r} is not finite")
+            raise HmicError(f"{path}:{row_num}: score {score!r} is not finite")
         scores[clip_id] = value
     return scores
 
@@ -366,18 +366,18 @@ def run_eval(
     by_id = {e.meta.clip_id: e.meta for e in read_manifest(manifest_path)}
     unscored = [cid for cid, meta in by_id.items() if meta.split == "test" and cid not in scores]
     if unscored:
-        raise PipelineError(f"{len(unscored)} manifest test clips have no score, "
-                            f"first {unscored[0]!r}; score the whole manifest before eval")
+        raise HmicError(f"{len(unscored)} manifest test clips have no score, "
+                        f"first {unscored[0]!r}; score the whole manifest before eval")
     clips = []
     for clip_id, score in scores.items():
         meta = by_id.get(clip_id)
         if meta is None:
-            raise PipelineError(f"scored clip {clip_id!r} not present in manifest")
+            raise HmicError(f"scored clip {clip_id!r} not present in manifest")
         if meta.split != "test":
-            raise PipelineError(f"scored clip {clip_id!r} is a {meta.split} clip in the "
-                                f"manifest; only test clips are evaluated")
+            raise HmicError(f"scored clip {clip_id!r} is a {meta.split} clip in the "
+                            f"manifest; only test clips are evaluated")
         if meta.condition not in ("normal", "anomalous"):
-            raise PipelineError(f"clip {clip_id!r} has unknown condition; cannot evaluate")
+            raise HmicError(f"clip {clip_id!r} has unknown condition; cannot evaluate")
         clips.append(
             ScoredClip(
                 clip_id=clip_id,
@@ -404,7 +404,7 @@ def run_pipeline(
     """generate (if needed) -> train -> score -> eval under one working directory.
 
     A corpus already in the workdir is reused only when its ``synth_spec.json``
-    is the one ``spec`` writes; another corpus there is a PipelineError before
+    is the one ``spec`` writes; another corpus there is an HmicError before
     anything is trained."""
     workdir = Path(workdir)
     corpus_dir = workdir / "corpus"
@@ -412,14 +412,14 @@ def run_pipeline(
     if not manifest.exists():
         generate(spec, corpus_dir)
     elif not spec_file.is_file() or spec_file.read_bytes() != to_json(spec).encode():
-        raise PipelineError(f"{corpus_dir} holds a corpus of another synth spec; "
-                            f"use a new --workdir or delete that corpus")
+        raise HmicError(f"{corpus_dir} holds a corpus of another synth spec; "
+                        f"use a new --workdir or delete that corpus")
     checkpoint_path = workdir / "model.hmic"
     run_train(config, corpus_dir, checkpoint_path, workdir)
     scores_csv = workdir / f"scores_{config.scoring_mode}.csv"
     outcome = run_score(config, checkpoint_path, manifest, scores_csv, workdir)
     if outcome.errors:
-        raise PipelineError(f"{len(outcome.errors)} clips failed to score: "
+        raise HmicError(f"{len(outcome.errors)} clips failed to score: "
                             + "; ".join(outcome.errors[:5]))
     report_json = workdir / f"report_{config.scoring_mode}.json"
     report_csv = workdir / f"report_{config.scoring_mode}.csv"

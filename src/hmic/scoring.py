@@ -21,10 +21,6 @@ from .errors import HmicError
 DOMAIN_INDEX = {"source": 0, "target": 1}
 
 
-class ScoringError(HmicError, ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GroupCentre:
     label: int
@@ -62,11 +58,11 @@ def _population_cov(devs: np.ndarray) -> np.ndarray:
 
 def _factor(cov: np.ndarray, eps: float) -> np.ndarray:
     """Lower Cholesky factor L of cov + eps*I. A non-finite matrix raises
-    ScoringError (numpy would return NaNs); one that is not positive definite
+    HmicError (numpy would return NaNs); one that is not positive definite
     raises LinAlgError. Both are ValueErrors."""
     shrunk = cov + eps * np.eye(cov.shape[0])
     if not np.all(np.isfinite(shrunk)):
-        raise ScoringError("non-finite covariance or shrinkage")
+        raise HmicError("non-finite covariance or shrinkage")
     return np.linalg.cholesky(shrunk)
 
 
@@ -75,11 +71,11 @@ def _fit(feats: np.ndarray, labels: np.ndarray, sections: np.ndarray, kind: str)
     labels = np.asarray(labels)
     sections = np.asarray(sections)
     if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ScoringError(f"expected a non-empty (N, d) feature matrix, got {feats.shape}")
+        raise HmicError(f"expected a non-empty (N, d) feature matrix, got {feats.shape}")
     if labels.shape != (feats.shape[0],) or sections.shape != (feats.shape[0],):
-        raise ScoringError("labels and sections must be 1-D and match the feature count")
+        raise HmicError("labels and sections must be 1-D and match the feature count")
     if not np.all(np.isfinite(feats)):
-        raise ScoringError("non-finite feature values")
+        raise HmicError("non-finite feature values")
 
     groups_by_section: dict[int, tuple[GroupCentre, ...]] = {}
     for section in sorted(set(int(s) for s in sections)):
@@ -105,7 +101,7 @@ def fit_dc(feats: np.ndarray, domains: np.ndarray, sections: np.ndarray) -> Cent
     try:
         labels = np.array([DOMAIN_INDEX[d] for d in domains])
     except KeyError as exc:
-        raise ScoringError(f"unknown domain {str(exc.args[0])!r}") from None
+        raise HmicError(f"unknown domain {str(exc.args[0])!r}") from None
     return _fit(feats, labels, sections, "dc")
 
 
@@ -116,7 +112,7 @@ def mahalanobis(feats: np.ndarray, centre: np.ndarray, solve: np.ndarray) -> np.
     feats = np.asarray(feats, dtype=np.float64)
     centre = np.asarray(centre, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1:] != centre.shape:
-        raise ScoringError(f"dimension mismatch: rows {feats.shape} vs centre {centre.shape}")
+        raise HmicError(f"dimension mismatch: rows {feats.shape} vs centre {centre.shape}")
     y = np.linalg.solve(solve, (feats - centre).T)
     with np.errstate(over="ignore"):  # a finite row far enough out overflows to inf
         return np.sqrt((y * y).sum(axis=0))
@@ -126,8 +122,8 @@ def _score(feats: np.ndarray, model: CentreModel, sections: np.ndarray) -> Score
     feats = np.asarray(feats, dtype=np.float64)
     sections = np.asarray(sections)
     if feats.ndim != 2 or sections.shape != feats.shape[:1]:
-        raise ScoringError(f"expected (N, d) embeddings and N sections, got {feats.shape} "
-                           f"and {sections.shape}")
+        raise HmicError(f"expected (N, d) embeddings and N sections, got {feats.shape} "
+                        f"and {sections.shape}")
     scores, argmins = np.full(len(feats), np.nan), np.full(len(feats), -1)
     errors: dict[int, str] = {}
     for section in sorted(set(sections.tolist())):  # np.unique loads numpy.ma: 1.6 MB RSS
@@ -157,14 +153,14 @@ def score_agc(feats: np.ndarray, model: CentreModel, sections: np.ndarray) -> Sc
     """Minimum Mahalanobis distance of each row of ``feats`` (N, d) over the
     attribute-group centres of its entry in ``sections`` (N,)."""
     if model.kind != "agc":
-        raise ScoringError(f"expected an attribute-group-centre model, got {model.kind!r}")
+        raise HmicError(f"expected an attribute-group-centre model, got {model.kind!r}")
     return _score(feats, model, sections)
 
 
 def score_dc(feats: np.ndarray, model: CentreModel, sections: np.ndarray) -> Scores:
     """``score_agc`` over the section's domain centres."""
     if model.kind != "dc":
-        raise ScoringError(f"expected a domain-centre model, got {model.kind!r}")
+        raise HmicError(f"expected a domain-centre model, got {model.kind!r}")
     return _score(feats, model, sections)
 
 
@@ -193,7 +189,7 @@ def centre_model_from_tensors(
     ``prefix/<section>/<label>/<part>``, a group without its three parts, parts
     whose shapes disagree, a non-finite part, a clip count below one, a
     shrinkage that is not positive or a covariance that will not factor raise
-    ScoringError."""
+    HmicError."""
     found: dict[int, dict[int, dict[str, np.ndarray]]] = {}
     marker = prefix + "/"
     for name, value in tensors.items():
@@ -201,11 +197,11 @@ def centre_model_from_tensors(
             continue
         match = _CENTRE_NAME.fullmatch(name[len(marker):])
         if match is None:
-            raise ScoringError(f"malformed centre tensor name {name!r}")
+            raise HmicError(f"malformed centre tensor name {name!r}")
         section, label, part = match.groups()
         found.setdefault(int(section), {}).setdefault(int(label), {})[part] = value
     if not found:
-        raise ScoringError(f"no {prefix!r} tensors in checkpoint")
+        raise HmicError(f"no {prefix!r} tensors in checkpoint")
     groups_by_section = {}
     for section, per_label in found.items():
         groups = []
@@ -223,8 +219,8 @@ def centre_model_from_tensors(
                 solve = _factor(cov, eps)  # checks cov; LinAlgError is a ValueError
                 groups.append(GroupCentre(label, centre, cov, eps, n_clips, solve))
             except KeyError as exc:
-                raise ScoringError(f"{base} has no {exc.args[0]} tensor") from None
+                raise HmicError(f"{base} has no {exc.args[0]} tensor") from None
             except ValueError as exc:
-                raise ScoringError(f"{base}: unusable centre statistics ({exc})") from None
+                raise HmicError(f"{base}: unusable centre statistics ({exc})") from None
         groups_by_section[section] = tuple(groups)
     return CentreModel(kind=kind, groups_by_section=groups_by_section)

@@ -17,11 +17,6 @@ from .errors import HmicError
 from .metadata import write_csv_rows
 from .model import NET_DTYPE, ModelConfig, ModelParams, init_params, loss_and_grads
 
-
-class TrainingError(HmicError, ValueError):
-    pass
-
-
 BATCH_SIZE = 32
 LR_MAX = 1e-4  # the cosine schedule's first-epoch learning rate
 LR_MIN = 1e-6  # and its last-epoch one
@@ -37,9 +32,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+            raise HmicError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
-            raise TrainingError(f"seed must be >= 0, got {self.seed}")
+            raise HmicError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,18 +95,18 @@ def train(
     by ``model_config.id_loss_weight``.
     """
     if features.ndim != 4 or features.shape[1] != 1:
-        raise TrainingError(f"expected (N, 1, H, W) features, got shape {features.shape}")
+        raise HmicError(f"expected (N, 1, H, W) features, got shape {features.shape}")
     n_clips = features.shape[0]
     if n_clips == 0:
-        raise TrainingError("cannot train on an empty corpus")
+        raise HmicError("cannot train on an empty corpus")
     labels_id = np.asarray(labels_id)
     labels_ag = np.asarray(labels_ag)
     if labels_id.shape != (n_clips,) or labels_ag.shape != (n_clips,):
-        raise TrainingError("label arrays must match the number of clips")
+        raise HmicError("label arrays must match the number of clips")
     if min(labels_id.min(), labels_ag.min()) < 0:
-        raise TrainingError("labels must be >= 0")
+        raise HmicError("labels must be >= 0")
     if labels_id.max() >= n_sections or labels_ag.max() >= n_groups:
-        raise TrainingError("labels exceed the declared label-space sizes")
+        raise HmicError("labels exceed the declared label-space sizes")
 
     init_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 0]))
     batch_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
@@ -128,7 +123,7 @@ def train(
             breakdown, grads = loss_and_grads(params, features[idx], labels_id[idx],
                                               labels_ag[idx])
             if not np.isfinite(breakdown.loss_total):
-                raise TrainingError(
+                raise HmicError(
                     f"non-finite loss {breakdown.loss_total} at epoch {epoch}, batch {batch}"
                 )
             adam.step(params.tensors, grads, lr)

@@ -16,7 +16,6 @@ from hmic.dsp import FLOOR_EPSILON, FRAME_SIZE, mel_filterbank
 from hmic.errors import HmicError
 from hmic.metadata import CONDITIONS, DOMAINS, SPLITS, ClipMeta
 from hmic.model import ModelParams, loss_and_grads
-from hmic.training import TrainingError
 
 
 def gradient_check(
@@ -36,7 +35,7 @@ def gradient_check(
     """
     for name, tensor in params.tensors.items():
         if tensor.dtype != np.float64:
-            raise TrainingError(f"gradient_check needs float64 parameters, "
+            raise HmicError(f"gradient_check needs float64 parameters, "
                                 f"{name} is {tensor.dtype}")
 
     def total_loss() -> float:

@@ -17,11 +17,12 @@ from hmic.checkpoint import (
     to_dict,
     write_json,
 )
-from hmic.config import SCORING_MODES, ConfigError, RunConfig, load_run_config
+from hmic.config import SCORING_MODES, RunConfig, load_run_config
 from hmic.datagen import AttributeSpec, SynthSpec
+from hmic.errors import HmicError
 from hmic.metadata import LabelSpace
 from hmic.model import ModelConfig
-from hmic.training import TrainConfig, TrainingError
+from hmic.training import TrainConfig
 
 from conftest import make_tiny_spec
 
@@ -135,13 +136,13 @@ class TestRunConfig:
         assert weighted.semantic_digest() != base.semantic_digest()
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(HmicError, match="unknown scoring mode 'nope'"):
             RunConfig(scoring_mode="nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(HmicError, match=r"pauc_p must be in \(0, 1\], got 0.0"):
             RunConfig(pauc_p=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(HmicError, match="jobs must be >= 1, got 0"):
             RunConfig(jobs=0)
-        with pytest.raises(TrainingError):
+        with pytest.raises(HmicError, match="seed must be >= 0, got -1"):
             RunConfig().with_overrides(seed=-1)
 
     def test_default_semantic_digest_is_pinned(self):
@@ -206,19 +207,26 @@ class TestRunConfig:
     def test_wrong_leaf_type_in_file_is_config_error(self, tmp_path):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({"train": {"epochs": "2"}}))
-        with pytest.raises(ConfigError, match="epochs"):
+        with pytest.raises(HmicError, match="epochs"):
+            load_run_config(path)
+
+    def test_a_tuple_of_the_wrong_length_names_its_field(self, tmp_path):
+        path = tmp_path / "channels.json"
+        path.write_text(json.dumps({"model": {"channels": [1, 2, 3, 4]}}))
+        with pytest.raises(HmicError, match=r"model: channels: expected 3 items for "
+                                            r"tuple\[int, int, int\], got 4$"):
             load_run_config(path)
 
     def test_misspelled_top_level_key_is_config_error(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"scoring_mod": "dc"}))
-        with pytest.raises(ConfigError, match="scoring_mod"):
+        with pytest.raises(HmicError, match="scoring_mod"):
             load_run_config(path)
 
     def test_bad_file_reports_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(HmicError, match=f"cannot read config {path}: Expecting"):
             load_run_config(path)
 
 

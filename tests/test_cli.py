@@ -17,12 +17,13 @@ from hmic import datagen, dsp, model, pipeline, scoring
 from hmic.checkpoint import (from_dict, load_checkpoint, save_checkpoint, to_dict, to_json,
                              write_json)
 from hmic.cli import main
-from hmic.config import ConfigError, load_run_config
+from hmic.config import load_run_config
 from hmic.datagen import generate, load_spec
+from hmic.errors import HmicError
 from hmic.evaluation import EvalReport
 from hmic.metadata import (LabelSpace, ManifestError, build_label_space, read_manifest,
                            write_manifest)
-from hmic.pipeline import (PipelineError, extract_features, read_scores_csv, run_pipeline,
+from hmic.pipeline import (extract_features, read_scores_csv, run_pipeline,
                            run_train)
 
 from conftest import make_tiny_config, make_tiny_spec
@@ -124,6 +125,7 @@ BAD_SPECS = {
     "machine_without_sections": lambda d: d["machines"].append(
         {"name": "idle", "sections": []}),
     "slash_in_machine_name": lambda d: d["machines"][0].update(name="giz/mo"),
+    "nul_in_machine_name": lambda d: d["machines"][0].update(name="giz\0mo"),
     "parent_dir_machine_name": lambda d: d["machines"][0].update(name=".."),
     "nan_tone": lambda d: _first_attribute(d)["tones_hz"].update(A=[NAN]),
     "nan_tone_jitter": lambda d: d.update(tone_jitter_cents=NAN),
@@ -140,6 +142,8 @@ BAD_SPECS = {
         source_values=["A", "x/y"], tones_hz={"A": [600.0], "x/y": [700.0]}),
     "separator_in_attribute_value": lambda d: _first_attribute(d).update(
         source_values=["A", "x=y"], tones_hz={"A": [600.0], "x=y": [700.0]}),
+    "nul_in_attribute_value": lambda d: _first_attribute(d).update(
+        source_values=["A", "x\0y"], tones_hz={"A": [600.0], "x\0y": [700.0]}),
 }
 
 
@@ -892,7 +896,7 @@ class TestFeatureShapeCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "clips disagree on feature shape" in err
+        assert "clips disagree on feature shape" in err and repr(victim.meta.clip_id) in err
         assert forwards == [] and not out.exists()
 
     def test_clips_with_cached_embeddings_are_checked_too(self, trained, tmp_path,
@@ -922,7 +926,7 @@ class TestFeatureShapeCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "clips disagree on feature shape" in err
+        assert "clips disagree on feature shape" in err and repr(victim.meta.clip_id) in err
         assert forward_clips == [] and not out.exists()
 
 
@@ -1246,8 +1250,8 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("kind,error,read", [
         ("manifest", ManifestError, read_manifest),
-        ("scores", PipelineError, read_scores_csv),
-        ("config", ConfigError, load_run_config),
+        ("scores", HmicError, read_scores_csv),
+        ("config", HmicError, load_run_config),
     ])
     def test_a_non_utf8_file_is_one_line_error(self, trained, tmp_path, tiny_config_path,
                                                capsys, kind, error, read):
@@ -1426,7 +1430,6 @@ class TestErrors:
         import pkgutil
 
         import hmic
-        from hmic.errors import HmicError
 
         found = []
         for info in pkgutil.iter_modules(hmic.__path__):
@@ -1437,9 +1440,10 @@ class TestErrors:
                     and issubclass(value, BaseException)
                     and value.__module__ == module.__name__
                 ):
-                    found.append(value)
+                    found.append(name)
                     assert name.endswith("Error") and issubclass(value, HmicError), name
-        assert len(found) >= 13  # HmicError and the 12 errors built on it
+        assert sorted(found) == ["CheckpointError", "DspError", "HmicError", "ManifestError",
+                                 "UndefinedMetricError"]
 
     def test_undecodable_checkpoint_config_is_one_line_error(self, trained, tmp_path,
                                                              tiny_config_path, capsys):

@@ -16,7 +16,6 @@ from hmic.datagen import (
     MachineSpec,
     SectionSpec,
     SynthSpec,
-    SynthSpecError,
     default_spec,
     generate,
     load_spec,
@@ -25,6 +24,7 @@ from hmic.datagen import (
     synthesize_clip,
 )
 from hmic.dsp import SAMPLE_RATE_HZ, log_mel, read_wav_mono
+from hmic.errors import HmicError
 from hmic.metadata import build_label_space, read_manifest
 
 from oracles import analytic_centres, parse_dcase_filename
@@ -111,7 +111,7 @@ class TestPlanCorpus:
                 ),
             ),
         )
-        with pytest.raises(SynthSpecError, match="> 0"):
+        with pytest.raises(HmicError, match="> 0"):
             plan_corpus(broken)
 
     def test_tones_must_stay_below_nyquist(self):
@@ -124,7 +124,7 @@ class TestPlanCorpus:
             ),
         )
         broken = replace(spec, machines=(MachineSpec("gizmo", (loud,)),))
-        with pytest.raises(SynthSpecError, match="Nyquist"):
+        with pytest.raises(HmicError, match="Nyquist"):
             plan_corpus(broken)
 
     def test_empty_machine_name_is_refused(self):
@@ -133,8 +133,24 @@ class TestPlanCorpus:
         # directory as an absolute path under the filesystem root
         spec = tiny_spec()
         broken = replace(spec, machines=(replace(spec.machines[0], name=""),))
-        with pytest.raises(SynthSpecError, match="no directory in the corpus"):
+        with pytest.raises(HmicError, match="no directory in the corpus"):
             plan_corpus(broken)
+
+    def test_clip_count_is_bounded(self):
+        # through validate only: planning a corpus past the bound would hold
+        # ~660 B per clip before anything could refuse it
+        spec = tiny_spec()
+        section = spec.machines[0].sections[0]
+        others = sum(vars(section.counts).values()) - section.counts.train_source
+
+        def with_clips(n):
+            counts = replace(section.counts, train_source=n - others)
+            section_n = replace(section, counts=counts)
+            return replace(spec, machines=(MachineSpec("gizmo", (section_n,)),))
+
+        with_clips(datagen.MAX_CLIPS).validate()
+        with pytest.raises(HmicError, match=f"spec holds {datagen.MAX_CLIPS + 1} clips"):
+            with_clips(datagen.MAX_CLIPS + 1).validate()
 
 
 _PRESETS = {"default": default_spec, "shifted": shifted_spec}

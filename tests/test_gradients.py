@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hmic import model
+from hmic.errors import HmicError
 from hmic.model import NET_DTYPE, ModelConfig, init_params, loss_and_grads
-from hmic.training import TrainingError
 
 from oracles import gradient_check
 
@@ -87,7 +87,7 @@ def test_gradient_check_refuses_float32_parameters(batch):
     # eps = 1e-5 is below float32's resolution near 1, so a float32 check
     # would read a meaningless error instead of failing.
     x, labels_id, labels_ag = batch
-    with pytest.raises(TrainingError, match="needs float64 parameters, conv1.w is float32"):
+    with pytest.raises(HmicError, match="needs float64 parameters, conv1.w is float32"):
         gradient_check(fresh_params().astype(NET_DTYPE), x, labels_id, labels_ag)
 
 

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmic.checkpoint import from_dict, to_dict
+from hmic.errors import HmicError
 from hmic.metadata import (
     ClipMeta,
     LabelSpace,
-    LabelSpaceError,
     ManifestEntry,
     ManifestError,
-    UnknownLabelError,
     assign_labels,
     build_label_space,
     read_manifest,
@@ -147,16 +146,16 @@ class TestBuildLabelSpace:
         assert space.n_groups == 1
 
     def test_empty_is_error(self):
-        with pytest.raises(LabelSpaceError):
+        with pytest.raises(HmicError, match="cannot build a label space from zero clips"):
             build_label_space([], "gizmo")
 
     def test_mixed_machines_is_error(self):
         clips = [make_clip(), make_clip(machine="other", clip_id="d")]
-        with pytest.raises(LabelSpaceError, match="mixed"):
+        with pytest.raises(HmicError, match="mixed"):
             build_label_space(clips, "gizmo")
 
     def test_test_split_rejected(self):
-        with pytest.raises(LabelSpaceError, match="training"):
+        with pytest.raises(HmicError, match="training"):
             build_label_space([make_clip(split="test")], "gizmo")
 
     def test_known_composition_three_by_four(self):
@@ -247,12 +246,12 @@ class TestAssignLabels:
 
     def test_novel_value_is_unknown(self):
         novel = make_clip(section=0, attrs=[("a", "q")], clip_id="novel")
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(HmicError, match="attribute combination .* unseen under section 0"):
             assign_labels(novel, self.space)
 
     def test_unknown_section(self):
         novel = make_clip(section=7, attrs=[("a", "x")], clip_id="novel")
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(HmicError, match="section 7 not in label space for 'gizmo'"):
             assign_labels(novel, self.space)
 
     def test_roundtrip_group_is_registered_under_its_section(self):
@@ -277,7 +276,7 @@ class TestAssignLabels:
         # labels it never would
         data = {"machine_type": "gizmo", "sections": [0, 1], "groups": [[0, []], [1, []]],
                 field: keys}
-        with pytest.raises(LabelSpaceError, match=f"gizmo: {field} must be strictly increasing"):
+        with pytest.raises(HmicError, match=f"gizmo: {field} must be strictly increasing"):
             from_dict(LabelSpace, data)
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hmic import nn
+from hmic.errors import HmicError
 from hmic.model import (
     NET_DTYPE,
     LossBreakdown,
     ModelConfig,
-    ModelError,
     forward_features,
     init_params,
     loss_and_grads,
@@ -217,17 +217,17 @@ class TestForwardFeatures:
         assert forward_features(params, np.zeros((3, 1, 16, 10))).shape == (3, 4)
 
     def test_too_small_input_rejected(self):
-        with pytest.raises(ModelError, match="too small"):
+        with pytest.raises(HmicError, match="too small"):
             forward_features(micro_params(), np.zeros((1, 1, 4, 4)))
 
     def test_multichannel_input_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(HmicError, match=r"expected \(B, 1, H, W\) input, got shape \(1, 2,"):
             forward_features(micro_params(), np.zeros((1, 2, 8, 8)))
 
     @pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8), (2, 1, 1, 8, 8)])
     def test_input_that_is_not_a_batch_is_rejected(self, shape):
         for run in (forward_features, lambda p, x: loss_and_grads(p, x, [0], [0])):
-            with pytest.raises(ModelError, match=r"expected \(B, 1, H, W\) input"):
+            with pytest.raises(HmicError, match=r"expected \(B, 1, H, W\) input"):
                 run(micro_params(), np.zeros(shape))
 
     @settings(max_examples=25, deadline=None)
@@ -385,7 +385,7 @@ class TestLoss:
     def test_weight_out_of_range_rejected(self):
         # loss_and_grads reads the weight from a config, which refuses it
         for weight in (1.2, -0.1):
-            with pytest.raises(ModelError, match="id_loss_weight must be in"):
+            with pytest.raises(HmicError, match="id_loss_weight must be in"):
                 micro_params(weight=weight)
 
     @staticmethod
@@ -425,7 +425,7 @@ class TestLoss:
             assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ModelError, match="empty"):
+        with pytest.raises(HmicError, match="empty"):
             loss_and_grads(micro_params(), np.zeros((0, 1, 8, 10)), np.array([], int),
                            np.array([], int))
 
@@ -437,7 +437,7 @@ class TestLoss:
         fitting = np.zeros(4, int)
         misfit = np.zeros(n_labels, int)
         labels = (misfit, fitting) if head == "id" else (fitting, misfit)
-        with pytest.raises(ModelError, match="label shapes"):
+        with pytest.raises(HmicError, match="label shapes"):
             loss_and_grads(micro_params(), x, *labels)
 
 

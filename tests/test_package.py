@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 from pathlib import Path
 
@@ -81,6 +82,41 @@ def test_no_module_writes_a_file_in_place():
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes")]
     assert in_place == []
+
+
+def _names(node) -> set[str]:
+    """The class names an ``except`` clause or an ``isinstance`` test lists."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+
+def test_every_error_class_is_caught_by_its_own_type():
+    # An exception class in src/hmic is named in an except clause or an
+    # isinstance test in src/hmic, scripts/ or bench/. The CLI prints only
+    # the message, so a class that nothing catches by its own type is one
+    # name too many: its raise sites raise HmicError.
+    classes = [node for path in PACKAGE
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    errors = {name for name in dir(builtins)
+              if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), BaseException)}
+    while new := {c.name for c in classes if c.name not in errors
+                  and any(_names(base) & errors for base in c.bases)}:
+        errors |= new
+    caught = set()
+    for path in PACKAGE + OTHERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _names(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                caught |= _names(node.args[1])
+    uncaught = sorted(c.name for c in classes if c.name in errors and c.name not in caught)
+    assert uncaught == []
 
 
 def test_every_setting_is_set_outside_tests():

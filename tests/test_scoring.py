@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmic
+from hmic.errors import HmicError
 from hmic.scoring import (
     CentreModel,
-    ScoringError,
     centre_model_from_tensors,
     centre_model_to_tensors,
     fit_agc,
@@ -105,11 +105,11 @@ class TestFitAgc:
         assert group.shrink_eps == pytest.approx(expected)
 
     def test_non_finite_features_rejected(self):
-        with pytest.raises(ScoringError, match="finite"):
+        with pytest.raises(HmicError, match="finite"):
             fit_simple([[np.nan, 0.0]], [0], [0])
 
     def test_empty_rejected(self):
-        with pytest.raises(ScoringError):
+        with pytest.raises(HmicError, match=r"expected a non-empty \(N, d\) feature matrix"):
             fit_simple(np.zeros((0, 2)), [], [])
 
 
@@ -131,7 +131,7 @@ class TestMahalanobis:
 
     def test_dimension_mismatch(self):
         solve = _factor(np.eye(2), 1e-3)
-        with pytest.raises(ScoringError, match="mismatch"):
+        with pytest.raises(HmicError, match="mismatch"):
             mahalanobis(np.zeros((1, 3)), np.zeros(2), solve)
 
     @settings(max_examples=60, deadline=None)
@@ -226,7 +226,7 @@ class TestScoreAgc:
 
     def test_kind_mismatch_rejected(self):
         dc = fit_dc(np.zeros((2, 2)), np.array(["source", "target"]), np.zeros(2, int))
-        with pytest.raises(ScoringError, match="attribute-group"):
+        with pytest.raises(HmicError, match="attribute-group"):
             score_agc(np.zeros((1, 2)), dc, np.zeros(1, int))
 
     def test_translation_invariance(self):
@@ -327,7 +327,7 @@ class TestBatchScoring:
 
     def test_sections_must_match_the_rows(self):
         model = fit_simple([[0.0, 0.0]], [0], [0])
-        with pytest.raises(ScoringError, match="sections"):
+        with pytest.raises(HmicError, match="sections"):
             score_agc(np.zeros((2, 2)), model, np.zeros(3, int))
 
 
@@ -353,7 +353,7 @@ class TestScoreDc:
         assert score_one([0.0, 0.0], dc, score=score_dc)[1] == 0
 
     def test_unknown_domain_rejected(self):
-        with pytest.raises(ScoringError, match=r"^unknown domain 'sideways'$"):
+        with pytest.raises(HmicError, match=r"^unknown domain 'sideways'$"):
             fit_dc(np.zeros((1, 2)), np.array(["sideways"]), np.zeros(1, int))
 
 
@@ -395,7 +395,7 @@ class TestTensorRoundTrip:
             n_clips, eps = {"nan_eps": (3.0, np.nan), "zero_eps": (3.0, 0.0),
                             "zero_clips": (0.0, 1e-3)}[fault]
             tensors["agc/0/1/stats"] = np.array([n_clips, eps])
-        with pytest.raises(ScoringError, match="agc/0/1"):
+        with pytest.raises(HmicError, match="agc/0/1"):
             centre_model_from_tensors(tensors, "agc", "agc")
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hmic import training
+from hmic.errors import HmicError
 from hmic.model import ModelConfig, init_params, loss_and_grads
-from hmic.training import TrainConfig, TrainingError, cosine_lr, train, write_training_log
+from hmic.training import TrainConfig, cosine_lr, train, write_training_log
 
 MICRO = ModelConfig(channels=(2, 3, 4), head_channels=4)
 
@@ -115,26 +116,26 @@ class TestTrain:
     def test_non_finite_loss_aborts_before_the_update(self):
         matrices, labels = separable_corpus(n_per_class=4)
         matrices[5, 0, 2, 3] = np.nan
-        with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+        with pytest.raises(HmicError, match="epoch 0, batch 0"):
             train(matrices, labels, labels, 2, 2, MICRO, TrainConfig(epochs=2))
 
     @pytest.mark.parametrize("shape", [(4, 8, 8), (4, 2, 8, 8)])
     def test_features_that_are_not_a_clip_batch_are_rejected(self, shape):
-        with pytest.raises(TrainingError, match=r"expected \(N, 1, H, W\) features"):
+        with pytest.raises(HmicError, match=r"expected \(N, 1, H, W\) features"):
             train(np.zeros(shape), np.zeros(4, int), np.zeros(4, int), 1, 1, MICRO, TrainConfig())
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(TrainingError, match="empty"):
+        with pytest.raises(HmicError, match="empty"):
             train(np.zeros((0, 1, 8, 8)), np.array([]), np.array([]), 1, 1, MICRO, TrainConfig())
 
     def test_label_space_mismatch_rejected(self):
         matrices, labels = separable_corpus(n_per_class=2)
-        with pytest.raises(TrainingError, match="label"):
+        with pytest.raises(HmicError, match="label"):
             train(matrices, labels, labels, 1, 2, MICRO, TrainConfig())  # ids exceed n_sections
         negative = labels - 1  # in range above, -1 below
-        with pytest.raises(TrainingError, match="label"):
+        with pytest.raises(HmicError, match="label"):
             train(matrices, negative, labels, 2, 2, MICRO, TrainConfig())
-        with pytest.raises(TrainingError, match="label"):
+        with pytest.raises(HmicError, match="label"):
             train(matrices, labels, negative, 2, 2, MICRO, TrainConfig())
 
 
